@@ -7,6 +7,19 @@ is produced from the spin '+' recipe of the flux-mirrored configuration
 (theta -> 1 - theta, xi0 -> -xi0) through h = f_mirror / W, with W the
 entire function vanishing simply on every actual flux site.
 
+One family of zero-set functions serves both phi and W: each of
+`PointZeros` (one point), `SinZeros` (a chain), `SigmaZeros` (a lattice)
+and `StarZeros` (a star) is an entire function vanishing simply on its
+component's sites.  phi is the uniform part pi xi0 |z|^2 / 2 plus pairs
+(zero set, weight), the weight being the site flux theta (-theta for a
+removed perturbation point).  An f or h factor is a tuple of (piece,
+integer power); its pieces are zero sets or the factor-only functions
+`Monomial`, `SincLine`, `StarSinc` and `ExoticSinc`.  A wave function
+merges equal pieces of phi and its factor once, when it is built, so
+ln|psi| evaluates each distinct entire function once per point: for spin
+'-' the weight theta of a zero set and the power -1 of 1/W become one term
+with weight theta - 1.
+
 Wave functions expose log-magnitude, pointwise values, the matching vector
 potential and the list of fractional local exponents, which is the protocol
 the quadrature certifier consumes.
@@ -15,16 +28,19 @@ the quadrature certifier consumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import (
+    PARALLEL_TOL,
     ConfigError,
     FluxConfiguration,
     enumerate_support,
+    has_nonparallel,
     mirror_configuration,
     normalize_fluxes,
+    parallel_directions,
 )
 from .decide import DEFAULT_R_MAX, ZeroModeVerdict, decide
 from .special import (
@@ -46,7 +62,6 @@ from .verify import DecayHint
 _EXISTS = ("ExistsFinite", "ExistsInfinite")
 _SITE_KEY_DIGITS = 9
 _ZERO_TOL = 1e-9
-_PARALLEL_TOL = 1e-12
 
 
 class NoModesError(ValueError):
@@ -62,68 +77,65 @@ def _site_key(p: complex) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# potential terms
+# zero sets
 #
-# Each term carries a weight w and a zero set; it contributes w*ln|W(z)| to
-# phi and i*w*conj(W'/W) to a_x + i a_y, so a = sgrad phi holds term by term.
+# Each class is an entire function W vanishing simply on one component's
+# sites.  It provides ln|W|, W, W'/W, the sites within a radius and the zero
+# order at a point.  A term (W, w) of phi contributes w*ln|W(z)| to phi and
+# i*w*conj(W'/W) to a_x + i a_y, so a = sgrad phi holds term by term.
 
 
 @dataclass(frozen=True)
-class UniformTerm:
-    xi0: float
+class PointZeros:
+    """z - position: one finite site or one perturbation point."""
 
-    def phi(self, z: np.ndarray) -> np.ndarray:
-        return 0.5 * math.pi * self.xi0 * (z.real**2 + z.imag**2)
-
-    def a_field(self, z: np.ndarray) -> np.ndarray:
-        return 1j * math.pi * self.xi0 * z
-
-    def sites(self, r: float) -> list[tuple[complex, float]]:
-        return []
-
-
-@dataclass(frozen=True)
-class PointTerm:
     position: complex
-    weight: float
 
-    def phi(self, z: np.ndarray) -> np.ndarray:
+    def log_abs(self, z: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            return self.weight * np.log(np.abs(z - self.position))
+            return np.log(np.abs(z - self.position))
 
-    def a_field(self, z: np.ndarray) -> np.ndarray:
+    def value(self, z: np.ndarray) -> np.ndarray:
+        return z - self.position
+
+    def dlog(self, z: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
-            return 1j * self.weight * np.conj(1.0 / (z - self.position))
+            return 1.0 / (z - self.position)
 
-    def sites(self, r: float) -> list[tuple[complex, float]]:
-        if abs(self.position) <= r:
-            return [(self.position, self.weight)]
-        return []
+    def sites(self, r: float) -> list[complex]:
+        return [self.position] if abs(self.position) <= r else []
+
+    def zero_order_at(self, p: complex) -> int:
+        return 1 if abs(p - self.position) <= _ZERO_TOL else 0
 
 
 @dataclass(frozen=True)
-class ChainTerm:
+class SinZeros:
+    """sin(pi (z - kappa)/omega0), evaluated in coordinates rotated onto the
+    chain: zeros on kappa + omega0 Z."""
+
     omega0: complex
     kappa: complex
-    weight: float
 
-    @property
-    def direction(self) -> complex:
-        return self.omega0 / abs(self.omega0)
+    def _rotated(self, z: np.ndarray) -> tuple[float, complex, complex, np.ndarray]:
+        """(period, kappa, direction, z) with kappa and z turned onto the x-axis."""
+        per = abs(self.omega0)
+        d = self.omega0 / per
+        return per, self.kappa / d, d, z / d
 
-    def _rotated(self, z: np.ndarray) -> tuple[float, complex, np.ndarray]:
-        d = self.direction
-        return abs(self.omega0), self.kappa / d, z / d
+    def log_abs(self, z: np.ndarray) -> np.ndarray:
+        per, k2, _, w = self._rotated(z)
+        return chain_log_abs(per, k2, w)
 
-    def phi(self, z: np.ndarray) -> np.ndarray:
-        per, k2, w = self._rotated(z)
-        return self.weight * chain_log_abs(per, k2, w)
+    def value(self, z: np.ndarray) -> np.ndarray:
+        per, k2, _, w = self._rotated(z)
+        return np.sin(math.pi * (w - k2) / per)
 
-    def a_field(self, z: np.ndarray) -> np.ndarray:
-        per, k2, w = self._rotated(z)
-        return 1j * self.weight * np.conj(chain_dlog(per, k2, w) / self.direction)
+    def dlog(self, z: np.ndarray) -> np.ndarray:
+        per, k2, d, w = self._rotated(z)
+        return chain_dlog(per, k2, w) / d
 
-    def sites(self, r: float) -> list[tuple[complex, float]]:
+    def sites(self, r: float) -> list[complex]:
         per = abs(self.omega0)
         mc = -np.real(self.kappa * np.conj(self.omega0)) / per**2
         d = abs(np.imag(self.kappa * np.conj(self.omega0))) / per
@@ -132,62 +144,96 @@ class ChainTerm:
         half = math.sqrt(max(r * r - d * d, 0.0)) / per + 1.0
         ms = np.arange(math.floor(mc - half), math.ceil(mc + half) + 1)
         pos = self.kappa + ms * self.omega0
-        return [(complex(p), self.weight) for p in pos[np.abs(pos) <= r]]
+        return [complex(p) for p in pos[np.abs(pos) <= r]]
+
+    def zero_order_at(self, p: complex) -> int:
+        u = (complex(p) - self.kappa) / self.omega0
+        return 1 if abs(u.imag) <= 1e-7 and abs(u.real - round(u.real)) <= 1e-7 else 0
 
 
 @dataclass(frozen=True)
-class LatticeTerm:
+class SigmaZeros:
+    """sigma_tilde(z - kappa): zeros on the lattice kappa + L."""
+
     basis: LatticeBasis
     kappa: complex
-    weight: float
 
-    def phi(self, z: np.ndarray) -> np.ndarray:
-        return self.weight * log_abs_sigma_tilde(self.basis, z - self.kappa)
+    def log_abs(self, z: np.ndarray) -> np.ndarray:
+        return log_abs_sigma_tilde(self.basis, z - self.kappa)
 
-    def a_field(self, z: np.ndarray) -> np.ndarray:
-        return 1j * self.weight * np.conj(sigma_tilde_dlog(self.basis, z - self.kappa))
+    def value(self, z: np.ndarray) -> np.ndarray:
+        return sigma_tilde(self.basis, z - self.kappa)
 
-    def sites(self, r: float) -> list[tuple[complex, float]]:
+    def dlog(self, z: np.ndarray) -> np.ndarray:
+        return sigma_tilde_dlog(self.basis, z - self.kappa)
+
+    def sites(self, r: float) -> list[complex]:
         w1, w2 = self.basis.omega1, self.basis.omega2
         area = self.basis.area
         reach = r + abs(self.kappa)
         imax = int(math.ceil(reach * abs(w2) / area)) + 1
         jmax = int(math.ceil(reach * abs(w1) / area)) + 1
-        out: list[tuple[complex, float]] = []
+        out: list[complex] = []
         js = np.arange(-jmax, jmax + 1)
         for i in range(-imax, imax + 1):
             pos = self.kappa + i * w1 + js * w2
-            for p in pos[np.abs(pos) <= r]:
-                out.append((complex(p), self.weight))
+            out.extend(complex(p) for p in pos[np.abs(pos) <= r])
         return out
+
+    def zero_order_at(self, p: complex) -> int:
+        w1, w2 = self.basis.omega1, self.basis.omega2
+        s = np.imag(np.conj(w1) * w2)
+        d = complex(p) - self.kappa
+        t1 = np.imag(np.conj(d) * w2) / s
+        t2 = np.imag(np.conj(w1) * d) / s
+        return 1 if abs(t1 - round(t1)) <= 1e-7 and abs(t2 - round(t2)) <= 1e-7 else 0
 
 
 @dataclass(frozen=True)
-class StarTerm:
+class StarZeros:
+    """sin(pi w^N)/w^(N-1), w = z/scale: vanishes simply on the star set."""
+
     order: int
     scale: float
-    weight: float
 
-    def phi(self, z: np.ndarray) -> np.ndarray:
-        return self.weight * star_log_abs(self.order, z / self.scale)
+    def log_abs(self, z: np.ndarray) -> np.ndarray:
+        return star_log_abs(self.order, z / self.scale)
 
-    def a_field(self, z: np.ndarray) -> np.ndarray:
-        return 1j * self.weight * np.conj(star_dlog(self.order, z / self.scale) / self.scale)
+    def value(self, z: np.ndarray) -> np.ndarray:
+        w = z / self.scale
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.sin(math.pi * w**self.order) / w ** (self.order - 1)
+        return np.where(np.abs(w) <= _ZERO_TOL, 0j, out)
 
-    def sites(self, r: float) -> list[tuple[complex, float]]:
-        out = [(0j, self.weight)]
+    def dlog(self, z: np.ndarray) -> np.ndarray:
+        return star_dlog(self.order, z / self.scale) / self.scale
+
+    def sites(self, r: float) -> list[complex]:
+        out = [0j]
         n = self.order
         m_max = int(math.floor((r / self.scale) ** n + 1e-12))
         if m_max >= 1:
             radii = self.scale * np.arange(1, m_max + 1) ** (1.0 / n)
             rays = np.exp(1j * math.pi * np.arange(2 * n) / n)
             pos = (radii[:, None] * rays[None, :]).ravel()
-            out.extend((complex(p), self.weight) for p in pos[np.abs(pos) <= r])
+            out.extend(complex(p) for p in pos[np.abs(pos) <= r])
         return out
+
+    def zero_order_at(self, p: complex) -> int:
+        w = complex(p) / self.scale
+        if abs(w) <= _ZERO_TOL:
+            return 1
+        u = w**self.order
+        return 1 if abs(u.imag) <= 1e-7 and abs(u.real - round(u.real)) <= 1e-7 else 0
+
+
+def _uniform_phi(xi0: float, z: np.ndarray) -> np.ndarray:
+    return 0.5 * math.pi * xi0 * (z.real**2 + z.imag**2)
 
 
 class ScalarPotential:
-    """phi as a sum of weighted log-modulus terms plus a uniform |z|^2 part."""
+    """phi = pi xi0 |z|^2 / 2 plus sum w ln|W| over its (zero set W, weight w)
+    terms."""
 
     def __init__(self, terms: tuple, uniform_flux_density: float):
         self.terms = terms
@@ -195,15 +241,16 @@ class ScalarPotential:
 
     def value(self, z) -> np.ndarray:
         z = _cplx(z)
-        out = np.zeros(z.shape, dtype=float)
-        for t in self.terms:
-            out = out + t.phi(z)
+        xi0 = self.uniform_flux_density
+        out = _uniform_phi(xi0, z) if xi0 else np.zeros(z.shape, dtype=float)
+        for zeros, w in self.terms:
+            out = out + w * zeros.log_abs(z)
         return out
 
     def singular_sites(self, r: float) -> list[tuple[complex, float]]:
         acc: dict[tuple[float, float], list] = {}
-        for t in self.terms:
-            for p, w in t.sites(r):
+        for zeros, w in self.terms:
+            for p in zeros.sites(r):
                 k = _site_key(p)
                 if k in acc:
                     acc[k][1] += w
@@ -220,9 +267,10 @@ class VectorPotential:
 
     def __call__(self, z) -> np.ndarray:
         z = _cplx(z)
-        out = np.zeros(z.shape, dtype=complex)
-        for t in self._phi.terms:
-            out = out + t.a_field(z)
+        xi0 = self._phi.uniform_flux_density
+        out = 1j * math.pi * xi0 * z if xi0 else np.zeros(z.shape, dtype=complex)
+        for zeros, w in self._phi.terms:
+            out = out + 1j * w * np.conj(zeros.dlog(z))
         if not np.all(np.isfinite(out)):
             raise DomainError("vector potential evaluated on a flux site")
         return out
@@ -249,6 +297,18 @@ def _removed_theta(config: FluxConfiguration, p: complex) -> float:
     raise ConfigError(f"removed point {p} is not a site of the configuration")
 
 
+def _zero_sets(config: FluxConfiguration) -> list[tuple]:
+    """(W, theta) for every component of the configuration, perturbation aside."""
+    out: list = [(PointZeros(s.position), s.theta) for s in config.finite_sites]
+    for ch in config.chains:
+        out.extend((SinZeros(ch.omega0, s.position), s.theta) for s in ch.offsets)
+    for lat in config.lattices:
+        out.extend((SigmaZeros(lat.basis, s.position), s.theta) for s in lat.offsets)
+    if config.star is not None:
+        out.append((StarZeros(config.star.order, config.star.scale), config.star.theta))
+    return out
+
+
 def build_scalar_potential(config: FluxConfiguration) -> ScalarPotential:
     """Assemble phi for a normalized configuration.
 
@@ -258,25 +318,12 @@ def build_scalar_potential(config: FluxConfiguration) -> ScalarPotential:
     points enter with weight -theta, added ones with +theta.
     """
     _require_normalized(config)
-    terms: list = []
-    if config.uniform_flux_density != 0.0:
-        terms.append(UniformTerm(config.uniform_flux_density))
-    for s in config.finite_sites:
-        terms.append(PointTerm(s.position, s.theta))
-    for ch in config.chains:
-        for s in ch.offsets:
-            terms.append(ChainTerm(ch.omega0, s.position, s.theta))
-    for lat in config.lattices:
-        for s in lat.offsets:
-            terms.append(LatticeTerm(lat.basis, s.position, s.theta))
-    if config.star is not None:
-        terms.append(StarTerm(config.star.order, config.star.scale, config.star.theta))
+    terms = _zero_sets(config)
     if config.perturbation is not None:
         for p in config.perturbation.removed:
-            terms.append(PointTerm(p, -_removed_theta(config, p)))
+            terms.append((PointZeros(p), -_removed_theta(config, p)))
         for grp in config.perturbation.added:
-            for p in grp.points:
-                terms.append(PointTerm(p, grp.theta))
+            terms.extend((PointZeros(p), grp.theta) for p in grp.points)
     return ScalarPotential(tuple(terms), config.uniform_flux_density)
 
 
@@ -286,11 +333,12 @@ def build_vector_potential(phi: ScalarPotential) -> VectorPotential:
 
 
 # ---------------------------------------------------------------------------
-# holomorphic factor pieces
+# factor-only pieces
 #
-# A factor is a tuple of (piece, integer power).  Pieces provide values, log
-# moduli and the zero order at a prescribed point, which fixes the local
-# exponent bookkeeping at flux sites.
+# A factor is a tuple of (piece, integer power).  Its pieces are zero sets
+# or the entire functions below, which are never phi terms.  Pieces provide
+# values, log moduli and the zero order at a prescribed point, which fixes
+# the local exponent bookkeeping at flux sites.
 
 
 @dataclass(frozen=True)
@@ -308,27 +356,6 @@ class Monomial:
 
     def zero_order_at(self, p: complex) -> int:
         return self.k if abs(p) <= _ZERO_TOL else 0
-
-
-@dataclass(frozen=True)
-class LinearFactors:
-    points: tuple[complex, ...]
-
-    def log_abs(self, z: np.ndarray) -> np.ndarray:
-        out = np.zeros(z.shape, dtype=float)
-        with np.errstate(divide="ignore"):
-            for p in self.points:
-                out = out + np.log(np.abs(z - p))
-        return out
-
-    def value(self, z: np.ndarray) -> np.ndarray:
-        out = np.ones(z.shape, dtype=complex)
-        for p in self.points:
-            out = out * (z - p)
-        return out
-
-    def zero_order_at(self, p: complex) -> int:
-        return sum(1 for q in self.points if abs(q - p) <= _ZERO_TOL)
 
 
 @dataclass(frozen=True)
@@ -361,69 +388,6 @@ class SincLine:
             return 0
         k = round(self.alpha * w.real / math.pi)
         return 1 if k != 0 and abs(self.alpha * w.real - math.pi * k) <= 1e-7 else 0
-
-
-@dataclass(frozen=True)
-class SinArm:
-    """Entire factor sin(pi (w - kappa2)/period) in rotated coordinates."""
-
-    period: float
-    kappa2: complex
-    direction: complex
-
-    def log_abs(self, z: np.ndarray) -> np.ndarray:
-        return chain_log_abs(self.period, self.kappa2, z / self.direction)
-
-    def value(self, z: np.ndarray) -> np.ndarray:
-        return np.sin(math.pi * (z / self.direction - self.kappa2) / self.period)
-
-    def zero_order_at(self, p: complex) -> int:
-        u = (complex(p) / self.direction - self.kappa2) / self.period
-        return 1 if abs(u.imag) <= 1e-7 and abs(u.real - round(u.real)) <= 1e-7 else 0
-
-
-@dataclass(frozen=True)
-class SigmaArm:
-    basis: LatticeBasis
-    kappa: complex
-
-    def log_abs(self, z: np.ndarray) -> np.ndarray:
-        return log_abs_sigma_tilde(self.basis, z - self.kappa)
-
-    def value(self, z: np.ndarray) -> np.ndarray:
-        return sigma_tilde(self.basis, z - self.kappa)
-
-    def zero_order_at(self, p: complex) -> int:
-        w1, w2 = self.basis.omega1, self.basis.omega2
-        s = np.imag(np.conj(w1) * w2)
-        d = complex(p) - self.kappa
-        t1 = np.imag(np.conj(d) * w2) / s
-        t2 = np.imag(np.conj(w1) * d) / s
-        return 1 if abs(t1 - round(t1)) <= 1e-7 and abs(t2 - round(t2)) <= 1e-7 else 0
-
-
-@dataclass(frozen=True)
-class StarW:
-    """sin(pi w^N)/w^(N-1), w = z/scale: vanishes simply on the star set."""
-
-    order: int
-    scale: float
-
-    def log_abs(self, z: np.ndarray) -> np.ndarray:
-        return star_log_abs(self.order, z / self.scale)
-
-    def value(self, z: np.ndarray) -> np.ndarray:
-        w = z / self.scale
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.sin(math.pi * w**self.order) / w ** (self.order - 1)
-        return np.where(np.abs(w) <= _ZERO_TOL, 0j, out)
-
-    def zero_order_at(self, p: complex) -> int:
-        w = complex(p) / self.scale
-        if abs(w) <= _ZERO_TOL:
-            return 1
-        u = w**self.order
-        return 1 if abs(u.imag) <= 1e-7 and abs(u.real - round(u.real)) <= 1e-7 else 0
 
 
 @dataclass(frozen=True)
@@ -515,14 +479,6 @@ class ExoticSinc:
         return 0 if root * root == abs(k) else 1
 
 
-def _factor_log_abs(factor: tuple, z: np.ndarray) -> np.ndarray:
-    out = np.zeros(z.shape, dtype=float)
-    for piece, power in factor:
-        if power:
-            out = out + power * piece.log_abs(z)
-    return out
-
-
 def _factor_value(factor: tuple, z: np.ndarray) -> np.ndarray:
     out = np.ones(z.shape, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -538,7 +494,13 @@ def _factor_value(factor: tuple, z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """Zero-mode candidate exp(-phi) F for spin '+', exp(+phi) conj(F) for '-'."""
+    """Zero-mode candidate exp(-phi) F for spin '+', exp(+phi) conj(F) for '-'.
+
+    ln|psi| = -+ pi xi0 |z|^2 / 2 + sum w ln|g| over the pieces g of phi and
+    F, with each phi weight signed by the spin, each factor power added, and
+    equal pieces merged: every distinct entire function is evaluated once
+    per point, and a piece whose weights cancel is not evaluated at all.
+    """
 
     spin: str
     potential: ScalarPotential
@@ -547,13 +509,26 @@ class WaveFunction:
     decay_hint: DecayHint
     label: str = ""
 
+    def __post_init__(self):
+        weights: dict = {}
+        for zeros, w in self.potential.terms:
+            weights[zeros] = weights.get(zeros, 0.0) + self._sign * w
+        for piece, power in self.factor:
+            weights[piece] = weights.get(piece, 0.0) + power
+        terms = tuple((g, w) for g, w in weights.items() if w != 0.0)
+        object.__setattr__(self, "_log_terms", terms)
+
     @property
     def _sign(self) -> float:
         return -1.0 if self.spin == "+" else 1.0
 
     def log_abs(self, z) -> np.ndarray:
         z = _cplx(z)
-        return self._sign * self.potential.value(z) + _factor_log_abs(self.factor, z)
+        xi0 = self.potential.uniform_flux_density
+        out = self._sign * _uniform_phi(xi0, z) if xi0 else np.zeros(z.shape, dtype=float)
+        for piece, w in self._log_terms:
+            out = out + w * piece.log_abs(z)
+        return out
 
     def magnitude(self, z) -> np.ndarray:
         with np.errstate(over="ignore"):
@@ -587,7 +562,17 @@ def sample_grid(psi: WaveFunction, x_range, y_range, nx: int, ny: int) -> np.nda
     xs = np.linspace(x_range[0], x_range[1], nx)
     ys = np.linspace(y_range[0], y_range[1], ny)
     zg = xs[None, :] + 1j * ys[:, None]
-    out = psi.magnitude(zg)
+    with np.errstate(invalid="ignore"):
+        out = psi.magnitude(zg)
+    # a node on a zero of one term and a pole of another (a removed lattice
+    # site: sigma_tilde against 1/(z - p)) gives inf - inf, although |psi|
+    # is continuous there; take the mean over four points around it
+    bad = np.isnan(out)
+    if bad.any():
+        p = zg[bad]
+        h = 1e-6 * np.maximum(1.0, np.abs(p))
+        ring = p[:, None] + h[:, None] * np.array([1.0, 1j, -1.0, -1j])
+        out[bad] = psi.magnitude(ring).mean(axis=1)
     # grid nodes that land on a site exactly: rounding in log space can
     # miss the pole/zero (sin(pi*n) != 0 in floats), so snap them
     reach = float(np.max(np.abs(zg))) + 1.0
@@ -649,9 +634,9 @@ def _line_groups(chains) -> list[list]:
         base = ch.offsets[0].position
         placed = False
         for d0, b0, members in groups:
-            if abs((d / d0).imag) <= _PARALLEL_TOL:
+            if parallel_directions(d0, d):
                 delta = base - b0
-                if abs((delta / d0).imag) <= 1e-9 * max(1.0, abs(delta)):
+                if abs((delta / d0).imag) <= PARALLEL_TOL * max(1.0, abs(delta)):
                     members.append(ch)
                     placed = True
                     break
@@ -660,20 +645,15 @@ def _line_groups(chains) -> list[list]:
     return [g[2] for g in groups]
 
 
-def _has_nonparallel(chains) -> bool:
-    dirs = [c.direction for c in chains]
-    return any(
-        abs((d2 / d1).imag) > _PARALLEL_TOL
-        for i, d1 in enumerate(dirs)
-        for d2 in dirs[i + 1 :]
-    )
-
-
 def _line_flux_density(group) -> float:
     """pi * (flux per unit length) along one carrying line."""
     return math.pi * sum(
         sum(s.theta for s in ch.offsets) / abs(ch.omega0) for ch in group
     )
+
+
+def _point_pieces(points, power: int) -> tuple:
+    return tuple((PointZeros(p), power) for p in points)
 
 
 def _added_points(config: FluxConfiguration) -> tuple[list[complex], list[float]]:
@@ -702,10 +682,11 @@ class _Recipe:
     notice: str = ""
 
 
-def _monomial_members(config, count, kind, rate_fn, start=0):
-    members = []
-    for k in range(start, start + count):
-        members.append(_Member(((Monomial(k), 1),), rate_fn(k), ("k", float(k))))
+def _monomial_members(count, kind, rate_fn, extra: tuple = ()):
+    """Members z^k times the pieces `extra`, k = 0 .. count - 1."""
+    members = [
+        _Member(((Monomial(k), 1),) + extra, rate_fn(k), ("k", float(k))) for k in range(count)
+    ]
     return _Recipe(kind, None, members)
 
 
@@ -716,9 +697,7 @@ def _finite_recipe(config: FluxConfiguration, verdict: ZeroModeVerdict, count: i
     if count > mult:
         notice = f"multiplicity {mult} < requested {count}; family truncated"
         count = mult
-    rec = _monomial_members(
-        config, count, "Monomial", lambda k: DecayHint("power", total - k)
-    )
+    rec = _monomial_members(count, "Monomial", lambda k: DecayHint("power", total - k))
     rec.notice = notice
     return rec
 
@@ -729,7 +708,7 @@ def _chain_recipe(config: FluxConfiguration, count: int, alpha: float | None) ->
     theta_bar = _line_flux_density(lead)
     origin = lead[0].offsets[0].position
     d = lead[0].direction
-    if _has_nonparallel(config.chains):
+    if has_nonparallel(config.chains):
         hint = DecayHint("exponential", 0.5 * min(_line_flux_density(g) for g in groups))
     else:
         hint = DecayHint("ring", -2.0)
@@ -763,9 +742,7 @@ def _collinear_recipe(
     upper = math.pi / periods[0] - math.pi * sum(
         (1.0 - t) / p for t, p in zip(thetas, periods)
     )
-    arms = tuple(
-        (SinArm(abs(c.omega0), c.offsets[0].position / d, d), 1) for c in chains[1:]
-    )
+    arms = tuple((SinZeros(c.omega0, c.offsets[0].position), 1) for c in chains[1:])
     members = []
     for a in _alpha_grid(upper, count, alpha):
         factor = ((SincLine(a, chains[0].offsets[0].position, d), 1),) + arms
@@ -783,9 +760,7 @@ def _lattice_rate(config: FluxConfiguration) -> float:
 
 def _lattice_recipe(config: FluxConfiguration, count: int) -> _Recipe:
     rate = _lattice_rate(config)
-    return _monomial_members(
-        config, count, "Polynomial", lambda k: DecayHint("gaussian", rate)
-    )
+    return _monomial_members(count, "Polynomial", lambda k: DecayHint("gaussian", rate))
 
 
 def _simple_lattice_recipe(config: FluxConfiguration, cond: int, count: int) -> _Recipe:
@@ -796,18 +771,12 @@ def _simple_lattice_recipe(config: FluxConfiguration, cond: int, count: int) -> 
         cond = 1 if sum(thetas) < 1.0 else 2
     if cond == 1:
         rate = sum(m * t for m, t in zip(mus, thetas))
-        return _monomial_members(
-            config, count, "Polynomial", lambda k: DecayHint("gaussian", rate)
-        )
+        return _monomial_members(count, "Polynomial", lambda k: DecayHint("gaussian", rate))
     rate = mus[0] * thetas[0] - sum(
         m * (1.0 - t) for m, t in zip(mus[1:], thetas[1:])
     )
-    arms = tuple((SigmaArm(l.basis, l.offsets[0].position), 1) for l in lats[1:])
-    members = [
-        _Member(((Monomial(k), 1),) + arms, DecayHint("gaussian", rate), ("k", float(k)))
-        for k in range(count)
-    ]
-    return _Recipe("Polynomial", None, members)
+    arms = tuple((SigmaZeros(l.basis, l.offsets[0].position), 1) for l in lats[1:])
+    return _monomial_members(count, "Polynomial", lambda k: DecayHint("gaussian", rate), arms)
 
 
 def _landau_lattice_recipe(config: FluxConfiguration, count: int) -> _Recipe:
@@ -815,45 +784,21 @@ def _landau_lattice_recipe(config: FluxConfiguration, count: int) -> _Recipe:
     mu = lattice_constants(lat.basis).mu
     eta0 = config.uniform_flux_density * lat.basis.area
     rate = mu * (eta0 + sum(s.theta for s in lat.offsets))
-    return _monomial_members(
-        config, count, "Polynomial", lambda k: DecayHint("gaussian", rate)
-    )
-
-
-def _vanishing_pieces(config: FluxConfiguration) -> tuple:
-    """Entire factors that vanish simply on each component's site set."""
-    pieces: list = []
-    if config.finite_sites:
-        pieces.append(LinearFactors(tuple(s.position for s in config.finite_sites)))
-    for ch in config.chains:
-        d = ch.direction
-        for s in ch.offsets:
-            pieces.append(SinArm(abs(ch.omega0), s.position / d, d))
-    for lat in config.lattices:
-        for s in lat.offsets:
-            pieces.append(SigmaArm(lat.basis, s.position))
-    if config.star is not None:
-        pieces.append(StarW(config.star.order, config.star.scale))
-    return tuple(pieces)
+    return _monomial_members(count, "Polynomial", lambda k: DecayHint("gaussian", rate))
 
 
 def _landau_general_recipe(config: FluxConfiguration, count: int) -> _Recipe:
-    products = tuple((p, 1) for p in _vanishing_pieces(replace(config, perturbation=None)))
+    products = tuple((zeros, 1) for zeros, _ in _zero_sets(config))
     rate = 0.5 * math.pi * abs(config.uniform_flux_density)
-    members = [
-        _Member(((Monomial(k), 1),) + products, DecayHint("gaussian", rate), ("k", float(k)))
-        for k in range(count)
-    ]
-    return _Recipe("Polynomial", None, members)
+    return _monomial_members(count, "Polynomial", lambda k: DecayHint("gaussian", rate), products)
 
 
 def _perturbed_chain_recipe(config: FluxConfiguration, count: int, alpha: float | None) -> _Recipe:
     groups = _line_groups(config.chains)
     lead = groups[0]
-    other_dirs = [g for g in groups if abs((g[0].direction / lead[0].direction).imag) > _PARALLEL_TOL]
+    other_dirs = [g for g in groups if not parallel_directions(lead[0].direction, g[0].direction)]
     upper = 0.5 * _line_flux_density(lead)
-    added, _ = _added_points(config)
-    extra = ((LinearFactors(tuple(added)), 1),) if added else ()
+    extra = _point_pieces(_added_points(config)[0], 1)
     rate = 0.5 * min(_line_flux_density(g) for g in other_dirs)
     members = []
     for a in _alpha_grid(upper, count, alpha):
@@ -869,8 +814,7 @@ def _parallel_exotic_recipe(config: FluxConfiguration, count: int, alpha: float 
     )
     ys = [np.imag(s.position / d) for c in config.chains for s in c.offsets]
     shift = 1.0 + max(0.0, -min(ys))
-    added, _ = _added_points(config)
-    extra = ((LinearFactors(tuple(added)), 1),) if added else ()
+    extra = _point_pieces(_added_points(config)[0], 1)
     members = []
     for a in _alpha_grid(upper, count, alpha):
         factor = ((ExoticSinc(a, d, shift), 1),) + extra
@@ -882,13 +826,8 @@ def _parallel_exotic_recipe(config: FluxConfiguration, count: int, alpha: float 
 
 def _patched_lattice_recipe(config: FluxConfiguration, count: int) -> _Recipe:
     rate = _lattice_rate(config)
-    added, _ = _added_points(config)
-    extra = ((LinearFactors(tuple(added)), 1),) if added else ()
-    members = [
-        _Member(((Monomial(k), 1),) + extra, DecayHint("gaussian", rate), ("k", float(k)))
-        for k in range(count)
-    ]
-    return _Recipe("Polynomial", None, members)
+    extra = _point_pieces(_added_points(config)[0], 1)
+    return _monomial_members(count, "Polynomial", lambda k: DecayHint("gaussian", rate), extra)
 
 
 def _star_recipe(config: FluxConfiguration, count: int, alpha: float | None) -> _Recipe:
@@ -960,6 +899,17 @@ def _plus_recipe(
     raise NoModesError(f"no construction recipe for verdict {thm!r}")
 
 
+def _inverse_w(config: FluxConfiguration) -> tuple:
+    """Factor pieces of 1/W, W vanishing simply on every actual flux site:
+    each zero set to the power -1, removed points restored, added ones
+    divided out."""
+    wrap = tuple((zeros, -1) for zeros, _ in _zero_sets(config))
+    if config.perturbation is not None:
+        wrap += _point_pieces(config.perturbation.removed, 1)
+        wrap += _point_pieces(_added_points(config)[0], -1)
+    return wrap
+
+
 def build_zero_modes(
     config: FluxConfiguration,
     verdict: ZeroModeVerdict,
@@ -992,14 +942,7 @@ def build_zero_modes(
         if mv.status not in _EXISTS:
             raise NoModesError("mirror construction unavailable for this verdict")
         rec = _plus_recipe(mirror, mv, count, alpha, r_max)
-        wrap = tuple((p, -1) for p in _vanishing_pieces(config))
-        if config.perturbation is not None:
-            removed = config.perturbation.removed
-            added, _ = _added_points(config)
-            if removed:
-                wrap = wrap + ((LinearFactors(tuple(removed)), 1),)
-            if added:
-                wrap = wrap + ((LinearFactors(tuple(added)), -1),)
+        wrap = _inverse_w(config)
 
     members = tuple(
         WaveFunction(
@@ -1035,24 +978,14 @@ def build_divergence_candidate(
     _require_normalized(config)
     phi = build_scalar_potential(config)
     a_field = build_vector_potential(phi)
-    if verdict.spin == "+":
-        factor: tuple = ()
-    else:
-        # modulus exp(+phi)/prod|W|: every actual site contributes 1 - theta
-        factor = tuple((p, -1) for p in _vanishing_pieces(config))
-        if config.perturbation is not None:
-            removed = config.perturbation.removed
-            added, _ = _added_points(config)
-            if removed:
-                factor = factor + ((LinearFactors(tuple(removed)), 1),)
-            if added:
-                factor = factor + ((LinearFactors(tuple(added)), -1),)
+    # spin '-' modulus exp(+phi)/|W|: every actual site contributes 1 - theta
+    factor = () if verdict.spin == "+" else _inverse_w(config)
     if config.uniform_flux_density != 0.0 or config.lattices:
         hint = DecayHint("gaussian", 0.0)
     elif config.chains or config.star is not None:
         hint = DecayHint("ring", 0.0)
     else:
-        reach = max((abs(t.position) for t in phi.terms), default=0.0) + 1.0
+        reach = max((abs(zeros.position) for zeros, _ in phi.terms), default=0.0) + 1.0
         sites = phi.singular_sites(reach)
         if verdict.spin == "+":
             rate = sum(w for _, w in sites)

@@ -306,6 +306,23 @@ def _as_rational(x: float, cap: int = 10**6, rel: float = 1e-13) -> Fraction | N
     return fr
 
 
+# chain directions d1, d2 are parallel (equal up to sign) when
+# |Im(d2/d1)| <= PARALLEL_TOL; decide and ansatz both route on this test
+PARALLEL_TOL = 1e-9
+
+
+def parallel_directions(d1: complex, d2: complex) -> bool:
+    return abs((d2 / d1).imag) <= PARALLEL_TOL
+
+
+def has_nonparallel(chains: Sequence[ChainComponent]) -> bool:
+    """Whether two of the chains run in different directions."""
+    dirs = [c.direction for c in chains]
+    return any(
+        not parallel_directions(d1, d2) for i, d1 in enumerate(dirs) for d2 in dirs[i + 1 :]
+    )
+
+
 def _chain_line(chain: ChainComponent) -> tuple[complex, complex] | None:
     """(anchor, unit direction) if the whole component lies on one line."""
     d = chain.direction
@@ -791,16 +808,8 @@ def uniformly_discrete(config: FluxConfiguration, window: float = 40.0) -> tuple
 
 
 def _min_gap(pos: np.ndarray) -> float:
-    try:
-        from scipy.spatial import cKDTree
+    from scipy.spatial import cKDTree
 
-        pts = np.column_stack([pos.real, pos.imag])
-        d, _ = cKDTree(pts).query(pts, k=2)
-        return float(d[:, 1].min())
-    except Exception:  # pragma: no cover - scipy always present in practice
-        best = math.inf
-        for i in range(len(pos)):
-            d = np.abs(pos[i + 1 :] - pos[i])
-            if d.size:
-                best = min(best, float(d.min()))
-        return best
+    pts = np.column_stack([pos.real, pos.imag])
+    d, _ = cKDTree(pts).query(pts, k=2)
+    return float(d[:, 1].min())

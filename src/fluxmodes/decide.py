@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import (
+    PARALLEL_TOL,
     AddedSet,
     ChainComponent,
     ConfigError,
@@ -40,7 +41,9 @@ from .config import (
     Perturbation,
     SetStats,
     enumerate_support,
+    has_nonparallel,
     normalize_fluxes,
+    parallel_directions,
     set_stats,
     uniformly_discrete,
 )
@@ -59,7 +62,6 @@ _STATUSES = (EXISTS_INFINITE, EXISTS_FINITE, NOT_EXISTS, UNKNOWN)
 # bounded power sums) are sampled; the CLI exposes this as --r-max
 DEFAULT_R_MAX = 200.0
 
-_PARALLEL_TOL = 1e-9
 _EXPONENT_SLACK = 0.05  # tolerance on numerically estimated exponents
 
 
@@ -216,10 +218,10 @@ def _collinear_one_atom(chains: tuple[ChainComponent, ...]) -> bool:
     d0 = chains[0].direction
     base = chains[0].offsets[0].position
     for c in chains:
-        if abs((c.direction / d0).imag) > _PARALLEL_TOL:
+        if not parallel_directions(d0, c.direction):
             return False
         delta = c.offsets[0].position - base
-        if abs((delta / d0).imag) > _PARALLEL_TOL * max(1.0, abs(delta)):
+        if abs((delta / d0).imag) > PARALLEL_TOL * max(1.0, abs(delta)):
             return False
     return True
 
@@ -431,13 +433,6 @@ def _removed_thetas(base: FluxConfiguration, removed: tuple[complex, ...]) -> li
     return out
 
 
-def _nonparallel_pair(chains: tuple[ChainComponent, ...]) -> bool:
-    dirs = [c.direction for c in chains]
-    return any(
-        abs((d2 / d1).imag) > _PARALLEL_TOL for i, d1 in enumerate(dirs) for d2 in dirs[i + 1 :]
-    )
-
-
 def _counting_saturates(stats: SetStats) -> bool:
     """n(r) = o(sqrt(r)) test: the root-scaled count must not grow."""
     r1, r0 = stats.r_max, stats.r_max / 4.0
@@ -484,9 +479,9 @@ def _rule_perturbed(config: FluxConfiguration, spin: str, r_max: float) -> ZeroM
     if config.uniform_flux_density == 0.0:
         if config.chains and not config.lattices and config.star is None:
             ud, _gap = uniformly_discrete(base_cfg)
-            if ud and _nonparallel_pair(config.chains) and genus_p == 0:
+            if ud and has_nonparallel(config.chains) and genus_p == 0:
                 return ZeroModeVerdict(spin, EXISTS_INFINITE, "Thm 7.3", values)
-            if ud and not _nonparallel_pair(config.chains):
+            if ud and not has_nonparallel(config.chains):
                 scarce = tau_p < 0.5 - _EXPONENT_SLACK or (
                     tau_p <= 0.5 + _EXPONENT_SLACK and stats is not None and _counting_saturates(stats)
                 )

@@ -353,14 +353,12 @@ def weierstrass_sigma(basis: LatticeBasis, z) -> np.ndarray:
     ls = log_sigma(basis, z)
     with np.errstate(over="ignore"):
         val = np.exp(ls)
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
     # exact zero at lattice points instead of exp(-inf + i*nan)
     bad = ~np.isfinite(np.atleast_1d(ls).real)
     if np.any(bad):
         val = np.atleast_1d(val)
         val[bad & (np.atleast_1d(ls).real == -np.inf)] = 0.0
         val = val if np.asarray(z).ndim else val[0]
-    del zz
     return val
 
 

@@ -1,5 +1,6 @@
 """Potentials and zero-mode families: exponents, residuals, independence."""
 
+import cmath
 import math
 from dataclasses import replace
 
@@ -8,8 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluxmodes import ansatz
 from fluxmodes.ansatz import (
     NoModesError,
+    PointZeros,
+    SigmaZeros,
+    SinZeros,
+    StarZeros,
     alpha_default,
     build_divergence_candidate,
     build_scalar_potential,
@@ -26,10 +32,18 @@ from fluxmodes.config import (
     LatticeComponent,
     Perturbation,
     StarComponent,
+    enumerate_support,
+    has_nonparallel,
     normalize_fluxes,
 )
 from fluxmodes.decide import decide
-from fluxmodes.special import DomainError, LatticeBasis
+from fluxmodes.special import (
+    DomainError,
+    LatticeBasis,
+    chain_log_abs,
+    log_abs_sigma_tilde,
+    star_log_abs,
+)
 from fluxmodes.verify import (
     ProbeRegion,
     annihilation_residual,
@@ -571,3 +585,185 @@ def test_monomial_member_slope_at_origin(k, theta):
         return
     psi = build_zero_modes(cfg, v, k + 1).generator(k)
     assert ring_slope(psi, 0j, 1e-3) == pytest.approx(k - theta, abs=0.01)
+
+
+def test_sample_grid_removed_lattice_site():
+    # site 0 of the lattice is removed: sigma_tilde's zero meets 1/z there,
+    # and |psi| is finite and continuous at the node
+    cfg = norm(
+        FluxConfiguration(
+            lattices=(lattice(2.0, 2.0j, (0.0, 0.5)),),
+            perturbation=Perturbation(removed=(0.0,), added=(AddedSet((1.0 + 0.3j,), 0.6),)),
+        )
+    )
+    ring = 1e-3 * np.exp(0.5j * math.pi * np.arange(4))
+    for spin, expected in (("+", 1.0174), ("-", 1.0262)):
+        psi = family(cfg, spin, 1).generator(0)
+        g = sample_grid(psi, (-2.0, 2.0), (-2.0, 2.0), 5, 5)
+        assert g[2, 2] == pytest.approx(expected, abs=1e-4)
+        assert g[2, 2] == pytest.approx(psi.magnitude(ring).mean(), rel=1e-5)
+        assert not np.isnan(g).any()
+
+
+@pytest.mark.parametrize("tilt, parallel", [(1e-10, True), (1e-8, False)])
+def test_parallel_chains_shared_tolerance(tilt, parallel):
+    # direction ratio with imaginary part `tilt`: decide (Thm 7.4 against
+    # 7.3) and the ansatz (ring against exponential decay) must agree
+    chains = (chain(1.0, (0.0, 0.5)), chain(cmath.exp(1j * tilt), (0.5j, 0.5)))
+    assert has_nonparallel(chains) is not parallel
+    moved = norm(FluxConfiguration(chains=chains, perturbation=Perturbation(removed=(0.0,))))
+    assert decide(moved, "+").theorem == ("Thm 7.4" if parallel else "Thm 7.3")
+    psi = family(norm(FluxConfiguration(chains=chains)), "+", 1).generator(0)
+    assert psi.decay_hint.kind == ("ring" if parallel else "exponential")
+
+
+# ---------------------------------------------------------------------------
+# one evaluation per entire function: the merged ln|psi| against the sum of
+# every phi and factor term taken separately, straight from the kernels
+
+FOLD_CASES = {
+    "finite": TWO_SITES,
+    "finite-weak": finite((0.0, 0.3), (1.0, 0.4)),
+    "chain": Z_CHAIN,
+    "collinear": norm(
+        FluxConfiguration(chains=(chain(1.0, (0.0, 0.4)), chain(math.pi, (0.5, 0.4))))
+    ),
+    "collinear-ratio": norm(
+        FluxConfiguration(chains=(chain(1.0, (0.0, 0.8)), chain(math.pi, (0.5, 0.9))))
+    ),
+    "lattice": SQUARE,
+    "s7.4-lattices": norm(
+        FluxConfiguration(
+            lattices=(
+                lattice(1.0, 1.0j, (0.0, 0.3)),
+                lattice(math.sqrt(2.0), math.sqrt(2.0) * 1j, (0.1 + 0.1j, 0.3)),
+            )
+        )
+    ),
+    "thm6.7": norm(
+        FluxConfiguration(
+            uniform_flux_density=0.25,
+            finite_sites=(FluxSite(0j, 0.5), FluxSite(1.5 + 0.5j, 0.3)),
+        )
+    ),
+    "thm6.8": norm(replace(SQUARE, uniform_flux_density=0.3 / 4.0)),
+    "thm6.8-divergent": norm(replace(SQUARE, uniform_flux_density=0.7 / 4.0)),
+    "perturbed-move": norm(
+        FluxConfiguration(
+            chains=(chain(1.0, (0.0, 0.5)),),
+            perturbation=Perturbation(removed=(2.0,), added=(AddedSet((2.2 + 0.4j,), 0.5),)),
+        )
+    ),
+    "perturbed-added": norm(
+        FluxConfiguration(
+            chains=(chain(1.0, (0.0, 0.5)),),
+            perturbation=Perturbation(added=(AddedSet((0.5 + 1.0j,), 0.3),)),
+        )
+    ),
+    "perturbed-nonparallel": norm(
+        FluxConfiguration(
+            chains=(chain(1.0, (0.0, 0.5)), chain(1.0j, (0.3 + 0.5j, 0.5))),
+            perturbation=Perturbation(removed=(0.0,)),
+        )
+    ),
+    "parallel-exotic": norm(
+        FluxConfiguration(
+            chains=(chain(1.0, (0.0, 0.5)), chain(2.0, (0.5, 0.5))),
+            perturbation=Perturbation(
+                removed=(0.5,), added=(AddedSet((2.3 + 1.7j, -3.1 + 2.4j, 0.7 - 2.2j), 0.9),)
+            ),
+        )
+    ),
+    "patched": norm(
+        FluxConfiguration(
+            lattices=(lattice(2.0, 2.0j, (0.0, 0.5)),),
+            perturbation=Perturbation(removed=(0.0,), added=(AddedSet((1.0 + 0.3j,), 0.6),)),
+        )
+    ),
+    "star": norm(FluxConfiguration(star=StarComponent(order=3, theta=0.5))),
+}
+
+
+def member_or_candidate(cfg, spin):
+    v = decide(cfg, spin)
+    if v.status == "NotExists":
+        return build_divergence_candidate(cfg, v)
+    return build_zero_modes(cfg, v, 1).generator(0)
+
+
+def kernel_log_abs(piece, z):
+    """ln|piece| of a zero set from its special kernel; other pieces as given."""
+    if isinstance(piece, PointZeros):
+        return np.log(np.abs(z - piece.position))
+    if isinstance(piece, SinZeros):
+        d = piece.omega0 / abs(piece.omega0)
+        return chain_log_abs(abs(piece.omega0), piece.kappa / d, z / d)
+    if isinstance(piece, SigmaZeros):
+        return log_abs_sigma_tilde(piece.basis, z - piece.kappa)
+    if isinstance(piece, StarZeros):
+        return star_log_abs(piece.order, z / piece.scale)
+    return piece.log_abs(z)
+
+
+def phi_reference(cfg, z):
+    out = 0.5 * math.pi * cfg.uniform_flux_density * np.abs(z) ** 2
+    for s in cfg.finite_sites:
+        out = out + s.theta * np.log(np.abs(z - s.position))
+    for ch in cfg.chains:
+        d = ch.direction
+        for s in ch.offsets:
+            out = out + s.theta * chain_log_abs(abs(ch.omega0), s.position / d, z / d)
+    for lat in cfg.lattices:
+        for s in lat.offsets:
+            out = out + s.theta * log_abs_sigma_tilde(lat.basis, z - s.position)
+    if cfg.star is not None:
+        out = out + cfg.star.theta * star_log_abs(cfg.star.order, z / cfg.star.scale)
+    if cfg.perturbation is not None:
+        base = enumerate_support(replace(cfg, perturbation=None), 10.0)
+        for p in cfg.perturbation.removed:
+            theta = next(s.theta for s in base if abs(s.position - p) < 1e-9)
+            out = out - theta * np.log(np.abs(z - p))
+        for grp in cfg.perturbation.added:
+            for p in grp.points:
+                out = out + grp.theta * np.log(np.abs(z - p))
+    return out
+
+
+@pytest.mark.parametrize("spin", ["+", "-"])
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_merged_log_abs_matches_term_by_term(case, spin):
+    cfg = FOLD_CASES[case]
+    psi = member_or_candidate(cfg, spin)
+    rng = np.random.default_rng(sorted(FOLD_CASES).index(case))
+    z = rng.uniform(-3.5, 3.5, 200) + 1j * rng.uniform(-3.5, 3.5, 200)
+    near = [p for p, _ in psi.potential.singular_sites(6.0)]
+    if cfg.perturbation is not None:
+        near += list(cfg.perturbation.removed)
+    z = z[np.min(np.abs(z[:, None] - np.array(near)[None, :]), axis=1) > 1e-3]
+    sign = -1.0 if spin == "+" else 1.0
+    ref = sign * phi_reference(cfg, z)
+    for piece, power in psi.factor:
+        ref = ref + power * kernel_log_abs(piece, z)
+    got = psi.log_abs(z)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    # the exponents singular_sites reports are the slopes of ln|psi| at the sites
+    for p, e in psi.singular_sites(2.5):
+        assert ring_slope(psi, p, 1e-5) == pytest.approx(e, abs=1e-3)
+
+
+def test_spin_minus_lattice_evaluates_sigma_once(monkeypatch):
+    # phi's theta ln|sigma_tilde| and the factor's 1/sigma_tilde are one term
+    calls = []
+    kernel = ansatz.log_abs_sigma_tilde
+
+    def counted(basis, z):
+        calls.append(np.size(z))
+        return kernel(basis, z)
+
+    monkeypatch.setattr(ansatz, "log_abs_sigma_tilde", counted)
+    z = np.array([0.3 + 0.7j, 1.1 - 0.4j, -2.5 + 0.2j])
+    for case in ("thm6.8", "thm6.8-divergent"):
+        psi = member_or_candidate(FOLD_CASES[case], "-")
+        calls.clear()
+        psi.log_abs(z)
+        assert calls == [3]
