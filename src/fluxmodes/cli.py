@@ -3,7 +3,7 @@
 Subcommands: decide (verdict + exit code), verify (construct modes and
 certify them numerically), special (lattice/special function values),
 grid (|psi| samples as CSV).  Every JSON report embeds the RunManifest;
-with --deterministic the pipeline is single threaded and byte stable.
+every report is byte stable (--deterministic is accepted and changes nothing).
 """
 
 import argparse
@@ -192,7 +192,6 @@ def _cmd_verify(args, manifest: RunManifest) -> int:
     cfg = _load_config(args.config)
     verdict = decide(cfg, args.spin, r_max=args.r_max)
     meshes = _parse_meshes(args.mesh_ladder)
-    threads = 1 if args.deterministic else args.threads
     report: dict = {"manifest": manifest.to_dict(), "verdict": verdict.to_dict()}
 
     if verdict.status in _EXISTS:
@@ -203,7 +202,7 @@ def _cmd_verify(args, manifest: RunManifest) -> int:
         members = []
         flags, orders = [], []
         for psi, (pname, pval) in zip(fam, fam.member_params):
-            quad = l2_norm_squared(psi, args.tol_abs, args.tol_rel, threads=threads)
+            quad = l2_norm_squared(psi, args.tol_abs, args.tol_rel)
             probe = _auto_probe(psi, 10.0 * max(meshes))
             res = annihilation_residual(psi, probe, meshes)
             members.append(
@@ -230,7 +229,7 @@ def _cmd_verify(args, manifest: RunManifest) -> int:
             status = "FAIL"
     elif verdict.status == "NotExists":
         psi = build_divergence_candidate(cfg, verdict)
-        quad = l2_norm_squared(psi, args.tol_abs, args.tol_rel, threads=threads)
+        quad = l2_norm_squared(psi, args.tol_abs, args.tol_rel)
         report["candidate"] = {
             "decayHint": {"kind": psi.decay_hint.kind, "rate": psi.decay_hint.rate},
             "quadrature": _quad_record(quad),
@@ -387,11 +386,10 @@ def _build_parser() -> _Parser:
         default=",".join(repr(h) for h in DEFAULT_MESHES),
         help="comma separated finite difference steps",
     )
-    common.add_argument("--threads", type=int, default=1, help="quadrature worker threads")
     common.add_argument(
         "--deterministic",
         action="store_true",
-        help="single threaded, byte stable output",
+        help="accepted for compatibility: output is always byte stable",
     )
     common.add_argument("--seed", type=int, default=0, help="seed echoed into the manifest")
     common.add_argument("--output-dir", default=None, help="directory for report artifacts")

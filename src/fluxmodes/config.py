@@ -500,16 +500,15 @@ def enumerate_support(config: FluxConfiguration, r_max: float) -> list[FluxSite]
 def _reject_close_pairs(sites: list[FluxSite], msg: str) -> None:
     if len(sites) < 2:
         return
+    from scipy.spatial import cKDTree
+
     pos = np.array([s.position for s in sites])
-    order = np.argsort(pos.real)
-    pos = pos[order]
-    # sweep by real part; coincidences must be near-equal in both coordinates
-    for i in range(len(pos) - 1):
-        j = i + 1
-        while j < len(pos) and pos[j].real - pos[i].real < _COINCIDENCE_TOL:
-            if abs(pos[j] - pos[i]) < _COINCIDENCE_TOL:
-                raise ConfigError(f"{msg}: duplicate site at {pos[i]}")
-            j += 1
+    tree = cKDTree(np.column_stack([pos.real, pos.imag]))
+    pairs = tree.query_pairs(_COINCIDENCE_TOL, output_type="ndarray")
+    pairs = pairs[np.abs(pos[pairs[:, 0]] - pos[pairs[:, 1]]) < _COINCIDENCE_TOL]
+    if len(pairs):
+        dup = pos[pairs.ravel()]
+        raise ConfigError(f"{msg}: duplicate site at {dup[np.lexsort((dup.imag, dup.real))[0]]}")
 
 
 # ---------------------------------------------------------------------------

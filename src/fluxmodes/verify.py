@@ -21,18 +21,20 @@ Wave functions and potentials are consumed through a duck-typed protocol
 The quadrature integrates exp(2 log_abs) over nested discs R, 2R, 4R, ...
 Each site owns a disc of radius 0.1 x (nearest-neighbor distance) where the
 known local exponent is absorbed into a Gauss-Jacobi radial weight; a C^inf
-partition of unity blends the site discs into the adaptively refined polar
-panels of the bulk.  Tails are certified either by geometric stagnation of
-the annulus increments (exponential-type decay) or by a two-term power fit
-of the increments (algebraic decay); growth by factor >= DIVERGENCE_RATIO
-across two consecutive doublings flags divergence.
+partition of unity blends the site discs into the polar panels of the bulk.
+The bulk is refined level by level: each level splits into four the panels
+that carry all but half the tolerance of the 6x6 vs 4x4 Gauss-Legendre error,
+and evaluates every child of the level in a few large integrand calls.
+Tails are certified either by geometric stagnation of the annulus increments
+(exponential-type decay) or by a two-term power fit of the increments
+(algebraic decay); growth by factor >= DIVERGENCE_RATIO across two
+consecutive doublings flags divergence, without the site discs once the bulk
+alone shows it.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -118,10 +120,6 @@ def _jacobi_rule(beta: float) -> tuple[np.ndarray, ...]:
     return _jacobi_cache[key]
 
 
-_GL6_X, _GL6_W = roots_legendre(6)
-_GL4_X, _GL4_W = roots_legendre(4)
-
-
 def _smooth_rise(t: np.ndarray) -> np.ndarray:
     """C-infinity ramp: 0 for t <= 0, 1 for t >= 1."""
     tt = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
@@ -161,34 +159,38 @@ def _site_set(pairs: Sequence[tuple[complex, float]]) -> _SiteSet:
 
 
 class _Integrand:
-    """exp(2 log_abs) times smooth cutoffs vanishing inside site discs."""
+    """exp(2 log_abs) times a smooth cutoff vanishing inside site discs.
+
+    Site discs are disjoint (radius <= 0.1 x nearest-neighbor distance), so
+    a point inside one is nearer its center than any other site: the
+    cutoff at each point is the ramp of its nearest site alone.
+    """
 
     def __init__(self, log_abs: Callable, sites: _SiteSet):
         self.log_abs = log_abs
         self.sites = sites
-        self.rho = np.abs(sites.pos)
-        self.ang = np.angle(sites.pos)
+        self.tree = None
+        if sites.pos.size:
+            from scipy.spatial import cKDTree
 
-    def candidates(self, r0, r1, p0, p1) -> tuple[int, ...]:
-        s = self.sites
-        if s.pos.size == 0:
-            return ()
-        near = (self.rho + s.radius >= r0) & (self.rho - s.radius <= r1)
-        idx = np.nonzero(near)[0]
-        if idx.size == 0:
-            return ()
-        mid, half = 0.5 * (p0 + p1), 0.5 * (p1 - p0)
-        dang = np.abs((self.ang[idx] - mid + math.pi) % (2.0 * math.pi) - math.pi)
-        margin = np.arcsin(np.minimum(s.radius[idx] / np.maximum(self.rho[idx], 1e-300), 1.0))
-        keep = (dang <= half + margin) | (self.rho[idx] <= s.radius[idx])
-        return tuple(int(i) for i in idx[keep])
+            self.tree = cKDTree(np.column_stack([sites.pos.real, sites.pos.imag]))
 
-    def __call__(self, Z: np.ndarray, idx: Sequence[int]) -> np.ndarray:
-        s = self.sites
+    def cutoff(self, Z: np.ndarray) -> np.ndarray:
         fac = np.ones(Z.shape)
-        for i in idx:
-            t = (np.abs(Z - s.pos[i]) / s.radius[i] - _BUMP_LO) / (_BUMP_HI - _BUMP_LO)
-            fac = fac * _smooth_rise(t)
+        if self.tree is None:
+            return fac
+        s = self.sites
+        pts = np.column_stack([Z.real.ravel(), Z.imag.ravel()])
+        nearest = self.tree.query(pts, k=1, distance_upper_bound=float(s.radius.max()))[1]
+        nearest = nearest.reshape(Z.shape)
+        near = nearest < s.pos.size
+        i = nearest[near]
+        t = (np.abs(Z[near] - s.pos[i]) / s.radius[i] - _BUMP_LO) / (_BUMP_HI - _BUMP_LO)
+        fac[near] = _smooth_rise(t)
+        return fac
+
+    def __call__(self, Z: np.ndarray) -> np.ndarray:
+        fac = self.cutoff(Z)
         out = np.zeros(Z.shape)
         mask = fac > 0.0
         if np.any(mask):
@@ -198,83 +200,74 @@ class _Integrand:
         return out
 
 
-def _panel_pair(F: _Integrand, box: tuple[float, float, float, float]) -> tuple[float, float]:
-    """(Gauss-Legendre 6x6 value, error indicator vs the 4x4 rule)."""
-    r0, r1, p0, p1 = box
-    idx = F.candidates(*box)
+def _tensor_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(radial nodes, angular nodes, weights) of the n x n Gauss-Legendre rule."""
+    x, w = roots_legendre(n)
+    return np.repeat(x, n), np.tile(x, n), np.outer(w, w).ravel()
 
-    def tensor(x, w):
-        rm, rh = 0.5 * (r1 + r0), 0.5 * (r1 - r0)
-        pm, ph = 0.5 * (p1 + p0), 0.5 * (p1 - p0)
-        r = rm + rh * x
-        p = pm + ph * x
-        Z = r[:, None] * np.exp(1j * p)[None, :]
-        vals = F(Z, idx) * r[:, None]
-        return float(rh * ph * np.einsum("i,ij,j->", w, vals, w))
 
-    v6 = tensor(_GL6_X, _GL6_W)
-    v4 = tensor(_GL4_X, _GL4_W)
-    return v6, abs(v6 - v4)
+# one node array per box: the 6x6 rule's 36 nodes, then the 4x4 rule's 16
+(_R6, _P6, _W6), (_R4, _P4, _W4) = _tensor_rule(6), _tensor_rule(4)
+_NODE_R, _NODE_P = np.concatenate([_R6, _R4]), np.concatenate([_P6, _P4])
+# boxes per integrand call: no more points than one site-disc call makes
+# (48 x 64), so the bulk does not raise the process's memory high-water mark
+_CHUNK_BOXES = _RADIAL_NODES * _ANGULAR_NODES // _NODE_R.size
+
+
+def _panel_values(F: _Integrand, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre 6x6 values of polar boxes (rows r0, r1, p0, p1) and
+    their error indicators |6x6 - 4x4|, evaluated in chunks of boxes."""
+    v6 = np.empty(len(boxes))
+    v4 = np.empty(len(boxes))
+    for s in range(0, len(boxes), _CHUNK_BOXES):
+        r0, r1, p0, p1 = boxes[s : s + _CHUNK_BOXES].T
+        rh, ph = 0.5 * (r1 - r0), 0.5 * (p1 - p0)
+        r = 0.5 * (r1 + r0)[:, None] + rh[:, None] * _NODE_R
+        vals = F(r * np.exp(1j * (0.5 * (p1 + p0)[:, None] + ph[:, None] * _NODE_P))) * r
+        v6[s : s + len(r)] = rh * ph * (vals[:, :36] @ _W6)
+        v4[s : s + len(r)] = rh * ph * (vals[:, 36:] @ _W4)
+    return v6, np.abs(v6 - v4)
 
 
 def _region_integral(
-    F: _Integrand,
-    r_lo: float,
-    r_hi: float,
-    abs_tol: float,
-    rel_tol: float,
-    threads: int = 1,
+    F: _Integrand, r_lo: float, r_hi: float, abs_tol: float, rel_tol: float
 ) -> tuple[float, float]:
-    """Adaptive integral of F over the polar box [r_lo, r_hi] x [0, 2 pi)."""
+    """Adaptive integral of F over the polar box [r_lo, r_hi] x [0, 2 pi).
+
+    Refines level by level: each level splits the fewest boxes whose
+    removal leaves less than half the tolerance in the error of the rest,
+    and evaluates all their children together.
+    """
     width = r_hi - r_lo
     n_r = max(2, min(8, int(round(width / max(r_lo, width / 4.0)))) if width > 0 else 2)
     r_edges = np.linspace(r_lo, r_hi, n_r + 1)
     p_edges = np.linspace(0.0, 2.0 * math.pi, 9)
-    boxes = [
-        (float(r_edges[i]), float(r_edges[i + 1]), float(p_edges[j]), float(p_edges[j + 1]))
-        for i in range(n_r)
-        for j in range(8)
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            first = list(pool.map(lambda b: _panel_pair(F, b), boxes))
-    else:
-        first = [_panel_pair(F, b) for b in boxes]
-
-    heap: list[tuple[float, int, tuple, float, float]] = []
-    total = 0.0
-    err = 0.0
-    counter = 0
-    for box, (v, e) in zip(boxes, first):
-        total += v
-        err += e
-        heapq.heappush(heap, (-e, counter, box, v, e))
-        counter += 1
+    ri, pj = np.divmod(np.arange(8 * n_r), 8)
+    boxes = np.column_stack([r_edges[ri], r_edges[ri + 1], p_edges[pj], p_edges[pj + 1]])
+    vals, errs = _panel_values(F, boxes)
     panels = len(boxes)
 
-    while heap and panels < _MAX_PANELS:
+    while True:
+        total, err = float(vals.sum()), float(errs.sum())
         tol = max(abs_tol, rel_tol * abs(total))
-        if err <= tol:
+        if err <= tol or panels >= _MAX_PANELS:
             break
-        _, _, box, v, e = heapq.heappop(heap)
-        if e <= tol / (len(heap) + 2):
+        order = np.argsort(errs)
+        if errs[order[-1]] <= tol / (len(errs) + 1):
             break  # worst panel already below its share: refinement stalled
-        total -= v
-        err -= e
-        r0, r1, p0, p1 = box
+        # the smallest errors that sum to at most tol / 2 stay; at least the
+        # worst box is split, and the cap limits how many of the rest are
+        kept = int(np.searchsorted(np.cumsum(errs[order]), 0.5 * tol, side="right"))
+        kept = max(min(kept, len(order) - 1), len(order) - (_MAX_PANELS - panels) // 4)
+        keep, marked = order[:kept], order[kept:]
+        r0, r1, p0, p1 = boxes[marked].T  # each marked box splits into 4 children
         rm, pm = 0.5 * (r0 + r1), 0.5 * (p0 + p1)
-        for child in (
-            (r0, rm, p0, pm),
-            (r0, rm, pm, p1),
-            (rm, r1, p0, pm),
-            (rm, r1, pm, p1),
-        ):
-            v, e = _panel_pair(F, child)
-            total += v
-            err += e
-            heapq.heappush(heap, (-e, counter, child, v, e))
-            counter += 1
-        panels += 4
+        quads = ((r0, rm, p0, pm), (r0, rm, pm, p1), (rm, r1, p0, pm), (rm, r1, pm, p1))
+        children = np.concatenate([np.column_stack(q) for q in quads])
+        v, e = _panel_values(F, children)
+        boxes = np.concatenate([boxes[keep], children])
+        vals, errs = np.concatenate([vals[keep], v]), np.concatenate([errs[keep], e])
+        panels += len(children)
     return max(total, 0.0), err
 
 
@@ -306,14 +299,19 @@ def _site_disc_integral(
     return fine, 0.5 * abs(fine - coarse)
 
 
-def _site_disc_bound(log_abs: Callable, center: complex, exponent: float, radius: float) -> float:
-    """Cheap upper estimate of a site-disc contribution from 8 probes."""
-    rr = np.array([0.25, 0.75]) * radius
+def _site_disc_bounds(log_abs: Callable, sites: _SiteSet, idx: np.ndarray) -> list[float]:
+    """Cheap upper estimates of the site-disc contributions of sites idx,
+    from 8 probes per disc, all sites in one log_abs call."""
+    pos, expo, radius = sites.pos[idx], sites.expo[idx], sites.radius[idx]
+    rr = np.array([0.25, 0.75])[None, :] * radius[:, None]
     aa = np.exp(1j * np.array([0.4, 1.97, 3.54, 5.11]))
-    Z = center + rr[:, None] * aa[None, :]
-    la = np.asarray(log_abs(Z.ravel()), dtype=float)
-    t = float(np.max(la - exponent * np.log(np.abs(Z.ravel() - center))))
-    return 2.0 * math.pi * math.exp(2.0 * t) * radius ** (2.0 * exponent + 2.0) / (2.0 * exponent + 2.0)
+    Z = (pos[:, None, None] + rr[:, :, None] * aa[None, None, :]).reshape(len(idx), 8)
+    la = np.asarray(log_abs(Z.ravel()), dtype=float).reshape(Z.shape)
+    t = np.max(la - expo[:, None] * np.log(np.abs(Z - pos[:, None])), axis=1)
+    return [
+        2.0 * math.pi * math.exp(2.0 * ti) * ri ** (2.0 * ei + 2.0) / (2.0 * ei + 2.0)
+        for ti, ei, ri in zip(t.tolist(), expo.tolist(), radius.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +367,6 @@ def l2_norm_squared(
     initial_radius: float = _INITIAL_RADIUS,
     radius_cap: float = RADIUS_CAP,
     max_doublings: int = 12,
-    threads: int = 1,
 ) -> QuadratureResult:
     """Integral of |psi|^2 over the plane with a convergence verdict.
 
@@ -395,14 +392,16 @@ def l2_norm_squared(
             raise DomainError("local exponent <= -1: |psi|^2 is not integrable")
         F = _Integrand(psi.log_abs, sites)
         tol_here = 0.1 * max(abs_tol, rel_tol * total)
-        bulk, e_bulk = _region_integral(F, max(r_prev, 0.0), R, tol_here, 0.1 * rel_tol, threads)
-        inc = bulk
+        inc, e_bulk = _region_integral(F, max(r_prev, 0.0), R, tol_here, 0.1 * rel_tol)
         quad_err += e_bulk
 
-        new = np.nonzero((np.abs(sites.pos) > r_prev) & (np.abs(sites.pos) <= R))[0]
+        # site discs only add to the increment: once the bulk alone makes the
+        # second growth step in a row, divergence is settled without them
+        settled = bad_ratios == 1 and increments[-1] > abs_tol and inc >= DIVERGENCE_RATIO * increments[-1]
+        new = np.nonzero((np.abs(sites.pos) > r_prev) & (np.abs(sites.pos) <= R) & (not settled))[0]
         share = 0.1 * tol_here / max(1, new.size)
-        for i in new:
-            bound = _site_disc_bound(psi.log_abs, sites.pos[i], sites.expo[i], sites.radius[i])
+        bounds = _site_disc_bounds(psi.log_abs, sites, new) if new.size else []
+        for i, bound in zip(new, bounds):
             if bound < share:
                 quad_err += bound
                 continue
@@ -472,7 +471,6 @@ def integrate_disc(
     radius: float,
     abs_tol: float = 1e-9,
     rel_tol: float = 1e-6,
-    threads: int = 1,
 ) -> tuple[float, float]:
     """(integral of exp(2 log_abs) over |z| <= radius, error estimate).
 
@@ -489,7 +487,7 @@ def integrate_disc(
         v, e = _site_disc_integral(log_abs, sites.pos[i], sites.expo[i], sites.radius[i])
         rough += v
         site_err += e
-    bulk, err = _region_integral(F, 0.0, radius, max(abs_tol, rel_tol * rough), rel_tol, threads)
+    bulk, err = _region_integral(F, 0.0, radius, max(abs_tol, rel_tol * rough), rel_tol)
     value = bulk + rough
     return value, err + site_err + 1e-13 * value
 

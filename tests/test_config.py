@@ -161,6 +161,21 @@ class TestEnumeration:
         with pytest.raises(ConfigError):
             enumerate_support(cfg, 3.0)
 
+    @pytest.mark.parametrize("gap", [0.0, 5e-10])
+    def test_coincident_sites_in_lattice_column_rejected(self, gap):
+        # the second member lands on a translate of the first, in the column x = 0
+        members = (FluxSite(0.0, 0.5), FluxSite(complex(0.0, 3.0 + gap), 0.25))
+        cfg = FluxConfiguration(lattices=(LatticeComponent(SQUARE, members),))
+        with pytest.raises(ConfigError, match="^components overlap: duplicate site at "):
+            enumerate_support(cfg, 10.0)
+
+    def test_close_but_distinct_sites_accepted(self):
+        members = (FluxSite(0.0, 0.5), FluxSite(complex(0.0, 3.0 + 2e-9), 0.25))
+        cfg = FluxConfiguration(lattices=(LatticeComponent(SQUARE, members),))
+        grid = [complex(m, n) for m in range(-11, 12) for n in range(-14, 12)]
+        expected = sum(abs(z + s.position) <= 10.0 for z in grid for s in members)
+        assert len(enumerate_support(cfg, 10.0)) == expected
+
     def test_star_counts(self):
         cfg = FluxConfiguration(star=StarComponent(3, 0.5))
         sites = enumerate_support(cfg, 1.9)  # radii 1, 2^(1/3), ..., < 1.9 -> m <= 6

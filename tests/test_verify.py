@@ -7,13 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluxmodes import verify
+from fluxmodes.ansatz import build_divergence_candidate, build_zero_modes
+from fluxmodes.config import ChainComponent, FluxConfiguration, FluxSite, LatticeComponent, normalize_fluxes
+from fluxmodes.decide import decide
 from fluxmodes.special import DomainError, LatticeBasis, log_abs_sigma_tilde, log_sigma, log_sin
 from fluxmodes.verify import (
+    _BUMP_HI,
+    _BUMP_LO,
     CONVERGENT,
     DIVERGENT,
     INCONCLUSIVE,
     DecayHint,
     ProbeRegion,
+    _Integrand,
+    _site_disc_bounds,
+    _site_set,
+    _smooth_rise,
     annihilation_residual,
     growth_estimate,
     integrate_disc,
@@ -85,11 +95,118 @@ def test_disc_integral_offcenter_site():
     assert abs(value - 2.0 * math.pi) < 2e-3
 
 
-def test_disc_threads_agree():
-    f = lambda z: -0.25 * np.log(np.abs(z)) - np.abs(z) ** 2
-    v1, _ = integrate_disc(f, [(0.0, -0.25)], radius=2.0, threads=1)
-    v2, _ = integrate_disc(f, [(0.0, -0.25)], radius=2.0, threads=2)
-    assert v1 == pytest.approx(v2, rel=1e-12)
+# ---------------------------------------------------------------------------
+# batched engine internals
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        min_size=1,
+        max_size=12,
+        unique=True,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_nearest_site_cutoff_matches_product(points, seed):
+    try:
+        sites = _site_set([(complex(x, y), -0.4) for x, y in points])
+    except DomainError:
+        return  # coincident sites are rejected before any cutoff is formed
+    rng = np.random.default_rng(seed)
+    # points around each disc edge and ramp, plus points anywhere
+    rho = sites.radius[:, None] * rng.uniform(0.0, 1.3, (sites.pos.size, 40))
+    near = sites.pos[:, None] + rho * np.exp(2j * math.pi * rng.uniform(size=rho.shape))
+    Z = np.concatenate([near.ravel(), rng.uniform(-4, 4, 200) + 1j * rng.uniform(-4, 4, 200)])
+    reference = np.ones(Z.shape)
+    for p, r in zip(sites.pos, sites.radius):
+        reference = reference * _smooth_rise((np.abs(Z - p) / r - _BUMP_LO) / (_BUMP_HI - _BUMP_LO))
+    got = _Integrand(lambda z: np.zeros(z.shape), sites).cutoff(Z.reshape(-1, 8))
+    assert np.max(np.abs(got.ravel() - reference)) <= 1e-15
+
+
+def _two_site_mode():
+    cfg, _ = normalize_fluxes(FluxConfiguration(finite_sites=(FluxSite(0j, 0.6), FluxSite(1 + 0j, 0.6))))
+    return build_zero_modes(cfg, decide(cfg, "+"), 1).generator(0)
+
+
+class CountingPsi:
+    """Wave-function proxy counting log_abs calls."""
+
+    def __init__(self, psi):
+        self._psi = psi
+        self.calls = 0
+
+    def log_abs(self, z):
+        self.calls += 1
+        return self._psi.log_abs(z)
+
+    def __getattr__(self, name):
+        return getattr(self._psi, name)
+
+
+def test_two_site_norm_makes_few_integrand_calls():
+    # one call per chunk of a refinement level, not two per panel (the
+    # panel-at-a-time engine made about 4000 here)
+    psi = CountingPsi(_two_site_mode())
+    res = l2_norm_squared(psi, 1e-8, 1e-4)
+    assert res.flag == CONVERGENT
+    assert res.value == pytest.approx(27.4844928468641413, rel=1e-4)
+    assert psi.calls < 100
+
+
+def _site_disc_bound_reference(log_abs, center, exponent, radius):
+    """One site at a time, as the batched bounds were computed before."""
+    rr = np.array([0.25, 0.75]) * radius
+    aa = np.exp(1j * np.array([0.4, 1.97, 3.54, 5.11]))
+    Z = center + rr[:, None] * aa[None, :]
+    la = np.asarray(log_abs(Z.ravel()), dtype=float)
+    t = float(np.max(la - exponent * np.log(np.abs(Z.ravel() - center))))
+    return 2.0 * math.pi * math.exp(2.0 * t) * radius ** (2.0 * exponent + 2.0) / (2.0 * exponent + 2.0)
+
+
+def _landau_lattice(eta0):
+    base = LatticeComponent(LatticeBasis(1.0, 1.0j), (FluxSite(0j, 0.5),))
+    cfg, _ = normalize_fluxes(FluxConfiguration(uniform_flux_density=eta0, lattices=(base,)))
+    return cfg, decide(cfg, "-")
+
+
+@pytest.mark.parametrize("family", ["lattice", "chain", "finite"])
+def test_batched_site_disc_bounds_bit_identical(family):
+    if family == "lattice":
+        cfg, v = _landau_lattice(0.3)
+        psi = build_zero_modes(cfg, v, 1).generator(0)
+    elif family == "chain":
+        cfg, _ = normalize_fluxes(FluxConfiguration(chains=(ChainComponent(1.0, (FluxSite(0j, 0.5),)),)))
+        psi = build_zero_modes(cfg, decide(cfg, "+"), 1).generator(0)
+    else:
+        psi = _two_site_mode()
+    sites = _site_set(psi.singular_sites(6.0))
+    idx = np.arange(sites.pos.size)
+    got = _site_disc_bounds(psi.log_abs, sites, idx)
+    want = [
+        _site_disc_bound_reference(psi.log_abs, sites.pos[i], sites.expo[i], sites.radius[i]) for i in idx
+    ]
+    assert got == want
+
+
+def test_divergence_settled_by_bulk_skips_site_discs(monkeypatch):
+    cfg, v = _landau_lattice(0.7)
+    assert v.status == "NotExists"
+    centers = []
+    disc = verify._site_disc_integral
+
+    def spy(log_abs, center, exponent, radius):
+        centers.append(abs(center))
+        return disc(log_abs, center, exponent, radius)
+
+    monkeypatch.setattr(verify, "_site_disc_integral", spy)
+    res = l2_norm_squared(build_divergence_candidate(cfg, v), 1e-8, 1e-5)
+    assert res.flag == DIVERGENT
+    assert res.error_estimate == math.inf
+    assert centers  # earlier annuli still integrate their site discs
+    assert max(centers) <= res.radii_trace[-1][0] / 2.0  # the last annulus does not
 
 
 # ---------------------------------------------------------------------------
