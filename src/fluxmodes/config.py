@@ -11,7 +11,6 @@ All components are immutable; analytics are pure functions.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -717,21 +716,6 @@ def config_from_dict(doc: dict) -> FluxConfiguration:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"malformed configuration: {exc}") from exc
-
-
-def load_config(path) -> FluxConfiguration:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return config_from_dict(doc)
-
-
-def save_config(config: FluxConfiguration, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

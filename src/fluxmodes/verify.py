@@ -19,12 +19,17 @@ Wave functions and potentials are consumed through a duck-typed protocol
   phi.singular_sites(r)     as above
 
 The quadrature integrates exp(2 log_abs) over nested discs R, 2R, 4R, ...
-Each site owns a disc of radius 0.1 x (nearest-neighbor distance) where the
-known local exponent is absorbed into a Gauss-Jacobi radial weight; a C^inf
+Each site owns a disc of radius 0.1 x (nearest-neighbor distance); a C^inf
 partition of unity blends the site discs into the polar panels of the bulk.
+A disc's radial rule is split at the partition's ramp: Gauss-Jacobi on the
+core, where the cut is 1 and the known local power is the weight, and
+Gauss-Legendre on the ramp, with the power and the cut in its weights.  Its
+rows are sampled on a 16-node trapezoid circle, and its error is nested:
+fine vs coarse radial rows plus all vs every other angular node.
 The bulk is refined level by level: each level splits into four the panels
 that carry all but half the tolerance of the 6x6 vs 4x4 Gauss-Legendre error,
-and evaluates every child of the level in a few large integrand calls.
+and evaluates every child of the level in integrand calls of about
+_CHUNK_POINTS points.
 Tails are certified either by geometric stagnation of the annulus increments
 (exponential-type decay) or by a two-term power fit of the increments
 (algebraic decay); growth by factor >= DIVERGENCE_RATIO across two
@@ -34,6 +39,7 @@ alone shows it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -54,9 +60,12 @@ DEFAULT_MESHES = (1e-2, 5e-3, 2.5e-3)
 _INITIAL_RADIUS = 4.0
 _BUMP_LO, _BUMP_HI = 0.35, 0.95
 _MAX_PANELS = 40_000
-_RADIAL_NODES = 48
-_RADIAL_NODES_COARSE = 32
-_ANGULAR_NODES = 64
+# site-disc rules: (core, ramp) radial rows of the fine and coarse rules,
+# and trapezoid nodes on each row's circle
+_DISC_ROWS = (12, 24)
+_DISC_ROWS_COARSE = (8, 16)
+_ANGULAR_NODES = 16
+_CHUNK_POINTS = 3072
 
 
 class DecayHint(NamedTuple):
@@ -107,18 +116,6 @@ class GrowthEstimate:
 
 # ---------------------------------------------------------------------------
 # quadrature building blocks
-
-_jacobi_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _jacobi_rule(beta: float) -> tuple[np.ndarray, ...]:
-    key = round(float(beta), 12)
-    if key not in _jacobi_cache:
-        fine = roots_jacobi(_RADIAL_NODES, 0.0, key)
-        coarse = roots_jacobi(_RADIAL_NODES_COARSE, 0.0, key)
-        _jacobi_cache[key] = (*fine, *coarse)
-    return _jacobi_cache[key]
-
 
 def _smooth_rise(t: np.ndarray) -> np.ndarray:
     """C-infinity ramp: 0 for t <= 0, 1 for t >= 1."""
@@ -209,9 +206,9 @@ def _tensor_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # one node array per box: the 6x6 rule's 36 nodes, then the 4x4 rule's 16
 (_R6, _P6, _W6), (_R4, _P4, _W4) = _tensor_rule(6), _tensor_rule(4)
 _NODE_R, _NODE_P = np.concatenate([_R6, _R4]), np.concatenate([_P6, _P4])
-# boxes per integrand call: no more points than one site-disc call makes
-# (48 x 64), so the bulk does not raise the process's memory high-water mark
-_CHUNK_BOXES = _RADIAL_NODES * _ANGULAR_NODES // _NODE_R.size
+# boxes per integrand call: about _CHUNK_POINTS points, few enough that the
+# bulk does not raise the process's memory high-water mark
+_CHUNK_BOXES = _CHUNK_POINTS // _NODE_R.size
 
 
 def _panel_values(F: _Integrand, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,32 +268,54 @@ def _region_integral(
     return max(total, 0.0), err
 
 
+@functools.lru_cache(maxsize=None)
+def _disc_rules(beta: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(t, weight) of the fine and coarse radial rules for the integral of
+    t**beta (1 - ramp(t)) g(t) over 0 <= t <= 1, t the radius in disc radii.
+
+    On the core [0, _BUMP_LO] the cut is exactly 1 and Gauss-Jacobi absorbs
+    t**beta; on the ramp [_BUMP_LO, _BUMP_HI] Gauss-Legendre carries t**beta
+    and the cut in its weights.  Beyond _BUMP_HI the cut vanishes.
+    """
+    a, b = _BUMP_LO, _BUMP_HI
+    rules = []
+    for n_core, n_ramp in (_DISC_ROWS, _DISC_ROWS_COARSE):
+        x, w = roots_jacobi(n_core, 0.0, beta)
+        core = (a * (x + 1.0) / 2.0, w * (a / 2.0) ** (beta + 1.0))
+        x, w = roots_legendre(n_ramp)
+        u = (x + 1.0) / 2.0
+        t = a + (b - a) * u
+        ramp = (t, w * (b - a) / 2.0 * t**beta * (1.0 - _smooth_rise(u)))
+        rules.append((np.concatenate([core[0], ramp[0]]), np.concatenate([core[1], ramp[1]])))
+    return tuple(rules)
+
+
 def _site_disc_integral(
     log_abs: Callable, center: complex, exponent: float, radius: float
 ) -> tuple[float, float]:
     """Bump-weighted integral of |psi|^2 over one site disc, with error.
 
-    The known local power rho**(2 e) becomes a Gauss-Jacobi radial weight,
-    so only the smooth remainder is sampled.  The error estimate compares
-    the 48- and 32-node radial rules.
+    The known local power rho**(2 e) goes into the radial weights (see
+    _disc_rules), so only the smooth remainder is sampled, on a trapezoid
+    circle of _ANGULAR_NODES nodes per radial row.  The error estimate is
+    |fine - coarse| radially plus |all nodes - every other node| angularly.
     """
     beta = 2.0 * exponent + 1.0
-    xf, wf, xc, wc = _jacobi_rule(beta)
+    ring = np.exp(2j * math.pi * np.arange(_ANGULAR_NODES) / _ANGULAR_NODES)
+    scale = 2.0 * math.pi * radius ** (beta + 1.0)
 
-    def radial(x, w):
-        rho = radius * (x + 1.0) / 2.0
-        phis = 2.0 * math.pi * np.arange(_ANGULAR_NODES) / _ANGULAR_NODES
-        Z = center + rho[:, None] * np.exp(1j * phis)[None, :]
+    def rows(t, w):
+        rho = radius * t
+        Z = center + rho[:, None] * ring
         la = np.asarray(log_abs(Z.ravel()), dtype=float).reshape(Z.shape)
         with np.errstate(over="ignore"):
             smooth = np.exp(2.0 * la - 2.0 * exponent * np.log(rho)[:, None])
-        angular = smooth.mean(axis=1) * 2.0 * math.pi
-        cut = 1.0 - _smooth_rise((rho / radius - _BUMP_LO) / (_BUMP_HI - _BUMP_LO))
-        return (radius / 2.0) ** (beta + 1.0) * float(np.dot(w, angular * cut))
+        return scale * float(w @ smooth.mean(axis=1)), scale * float(w @ smooth[:, ::2].mean(axis=1))
 
-    fine = radial(xf, wf)
-    coarse = radial(xc, wc)
-    return fine, 0.5 * abs(fine - coarse)
+    fine_rule, coarse_rule = _disc_rules(round(beta, 12))
+    fine, fine_half = rows(*fine_rule)
+    coarse, _ = rows(*coarse_rule)
+    return fine, abs(fine - coarse) + abs(fine - fine_half)
 
 
 def _site_disc_bounds(log_abs: Callable, sites: _SiteSet, idx: np.ndarray) -> list[float]:
@@ -449,13 +468,13 @@ def l2_norm_squared(
         else:
             if len(increments) >= 2:
                 prev = increments[-2]
-                if inc <= abs_tol and prev <= abs_tol:
+                if inc <= abs_tol and prev <= abs_tol and quad_err + inc <= tol:
                     return QuadratureResult(total, quad_err + inc, CONVERGENT, tuple(trace))
                 if prev > 0.0:
                     q = inc / prev
                     if q < 0.5:
                         geo_tail = inc * q / (1.0 - q)
-                        if geo_tail <= tol:
+                        if quad_err + 2.0 * geo_tail <= tol:
                             return QuadratureResult(total, quad_err + 2.0 * geo_tail, CONVERGENT, tuple(trace))
 
         r_prev = R

@@ -172,6 +172,28 @@ def test_verify_chain_count(tmp_path, capsys):
     assert doc["recipe"]["alphaRange"] == pytest.approx([0.0, math.pi / 2.0])
 
 
+def test_verify_convergent_error_within_tolerance(tmp_path, capsys):
+    # Thm 6.8 on the side-2 square lattice, eta0 = xi0 * 4 = 0.3, spin -
+    landau = {
+        "uniform_flux_density": 0.075,
+        "lattices": [
+            {
+                "omega1": [2.0, 0.0],
+                "omega2": [0.0, 2.0],
+                "offsets": [{"kappa": [0.0, 0.0], "theta": 0.5}],
+            }
+        ],
+    }
+    code, doc = run_json(
+        capsys, "verify", write(tmp_path, landau), "--spin", "-", "--tol-rel", "1e-2"
+    )
+    assert code == 0
+    assert doc["status"] == "PASS"
+    quad = doc["members"][0]["quadrature"]
+    assert quad["flag"] == "Convergent"
+    assert quad["errorEstimate"] <= max(1e-8, 1e-2 * quad["value"])
+
+
 def test_special_constants(capsys):
     code, doc = run_json(
         capsys, "special", "constants", "--omega1", "1,0", "--omega2", "0,1"

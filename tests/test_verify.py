@@ -6,10 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import roots_jacobi, roots_legendre
 
 from fluxmodes import verify
 from fluxmodes.ansatz import build_divergence_candidate, build_zero_modes
-from fluxmodes.config import ChainComponent, FluxConfiguration, FluxSite, LatticeComponent, normalize_fluxes
+from fluxmodes.config import (
+    ChainComponent,
+    FluxConfiguration,
+    FluxSite,
+    LatticeComponent,
+    StarComponent,
+    normalize_fluxes,
+)
 from fluxmodes.decide import decide
 from fluxmodes.special import DomainError, LatticeBasis, log_abs_sigma_tilde, log_sigma, log_sin
 from fluxmodes.verify import (
@@ -22,6 +31,7 @@ from fluxmodes.verify import (
     ProbeRegion,
     _Integrand,
     _site_disc_bounds,
+    _site_disc_integral,
     _site_set,
     _smooth_rise,
     annihilation_residual,
@@ -131,6 +141,11 @@ def _two_site_mode():
     return build_zero_modes(cfg, decide(cfg, "+"), 1).generator(0)
 
 
+def _chain_mode():
+    cfg, _ = normalize_fluxes(FluxConfiguration(chains=(ChainComponent(1.0, (FluxSite(0j, 0.5),)),)))
+    return build_zero_modes(cfg, decide(cfg, "+"), 1).generator(0)
+
+
 class CountingPsi:
     """Wave-function proxy counting log_abs calls."""
 
@@ -178,8 +193,7 @@ def test_batched_site_disc_bounds_bit_identical(family):
         cfg, v = _landau_lattice(0.3)
         psi = build_zero_modes(cfg, v, 1).generator(0)
     elif family == "chain":
-        cfg, _ = normalize_fluxes(FluxConfiguration(chains=(ChainComponent(1.0, (FluxSite(0j, 0.5),)),)))
-        psi = build_zero_modes(cfg, decide(cfg, "+"), 1).generator(0)
+        psi = _chain_mode()
     else:
         psi = _two_site_mode()
     sites = _site_set(psi.singular_sites(6.0))
@@ -210,11 +224,105 @@ def test_divergence_settled_by_bulk_skips_site_discs(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# site-disc rule
+
+
+def _ramp(t):
+    return _smooth_rise((np.asarray(t) - _BUMP_LO) / (_BUMP_HI - _BUMP_LO))
+
+
+@pytest.mark.parametrize("exponent", [-0.9, -0.6, -0.5, -0.25, -0.1, 0.3, 1.5])
+@pytest.mark.parametrize("radius", [0.05, 0.37])
+def test_site_disc_pure_power(exponent, radius):
+    # |psi|^2 = rho^(2e) exactly: the disc integral is
+    # 2 pi r^(2e+2) * integral over [0, 1] of t^(2e+1) (1 - ramp(t)) dt.
+    # A flux site's own exponent -theta lies in (-1, 0); a positive exponent
+    # (a zero of the member at the site) weights the ramp rows more heavily
+    center = 0.3 - 1.1j
+    beta = 2.0 * exponent + 1.0
+    t_int, t_err = quad(
+        lambda t: 1.0 - _ramp(t), 0.0, 1.0,
+        weight="alg", wvar=(beta, 0.0), epsabs=0.0, epsrel=1e-13, limit=200,
+    )
+    scale = 2.0 * math.pi * radius ** (beta + 1.0)
+    ref, ref_err = scale * t_int, scale * t_err
+    value, err = _site_disc_integral(
+        lambda z: exponent * np.log(np.abs(z - center)), center, exponent, radius
+    )
+    assert abs(value - ref) <= err + ref_err
+    assert err <= (1e-8 if exponent < 0.0 else 1e-6) * ref
+
+
+def _split_reference(log_abs, center, exponent, radius):
+    """Disc integral from a 40 + 400-row core/ramp split rule on 32 angular
+    nodes offset by half a step from the engine's."""
+    beta = 2.0 * exponent + 1.0
+    x, w = roots_jacobi(40, 0.0, beta)
+    t_core, w_core = _BUMP_LO * (x + 1.0) / 2.0, w * (_BUMP_LO / 2.0) ** (beta + 1.0)
+    x, w = roots_legendre(400)
+    t_ramp = _BUMP_LO + (_BUMP_HI - _BUMP_LO) * (x + 1.0) / 2.0
+    w_ramp = w * (_BUMP_HI - _BUMP_LO) / 2.0 * t_ramp**beta * (1.0 - _ramp(t_ramp))
+    t, wt = np.concatenate([t_core, t_ramp]), np.concatenate([w_core, w_ramp])
+    rho = radius * t
+    Z = center + rho[:, None] * np.exp(2j * math.pi * (np.arange(32) + 0.5) / 32)
+    la = np.asarray(log_abs(Z.ravel()), dtype=float).reshape(Z.shape)
+    smooth = np.exp(2.0 * la - 2.0 * exponent * np.log(rho)[:, None])
+    return 2.0 * math.pi * radius ** (beta + 1.0) * float(wt @ smooth.mean(axis=1))
+
+
+def _star_mode():
+    cfg, _ = normalize_fluxes(FluxConfiguration(star=StarComponent(order=3, theta=0.5)))
+    return build_zero_modes(cfg, decide(cfg, "+"), 1, alpha=math.pi / 4.0).generator(0)
+
+
+def _lattice2_mode():
+    base = LatticeComponent(LatticeBasis(2.0, 2.0j), (FluxSite(0j, 0.5),))
+    cfg, _ = normalize_fluxes(FluxConfiguration(lattices=(base,)))
+    return build_zero_modes(cfg, decide(cfg, "+"), 1).generator(0)
+
+
+@pytest.mark.parametrize("family", ["lattice", "landau", "chain", "finite", "star"])
+def test_site_disc_matches_split_reference(family):
+    psi = {
+        "lattice": _lattice2_mode,
+        "landau": lambda: build_zero_modes(*_landau_lattice(0.3), 1).generator(0),
+        "chain": _chain_mode,
+        "finite": _two_site_mode,
+        "star": _star_mode,
+    }[family]()
+    sites = _site_set(psi.singular_sites(4.0))
+    for i in np.argsort(np.abs(sites.pos))[:6]:
+        args = (sites.pos[i], sites.expo[i], sites.radius[i])
+        ref = _split_reference(psi.log_abs, *args)
+        value, err = _site_disc_integral(psi.log_abs, *args)
+        assert abs(value - ref) <= err
+        assert err <= 1e-8 * ref
+
+
+# ---------------------------------------------------------------------------
 # full-plane quadrature
 
 
+def _gaussian():
+    return FakePsi(lambda z: -0.5 * math.pi * np.abs(z) ** 2, hint=DecayHint("gaussian", math.pi / 2))
+
+
+def _gaussian_with_site():
+    # |psi| = |z|^-0.5 exp(-|z|^2 / 2); integral of r^-1 e^{-r^2} dA = pi^{3/2}
+    return FakePsi(
+        lambda z: -0.5 * np.log(np.abs(z)) - 0.5 * np.abs(z) ** 2,
+        sites=[(0.0, -0.5)],
+        hint=DecayHint("gaussian", 0.5),
+    )
+
+
+def _power_tail():
+    # |psi|^2 = (1 + r^2)^-1.2, plane integral pi / 0.2
+    return FakePsi(lambda z: -0.6 * np.log1p(np.abs(z) ** 2), hint=DecayHint("power", 1.2))
+
+
 def test_gaussian_plane_norm():
-    psi = FakePsi(lambda z: -0.5 * math.pi * np.abs(z) ** 2, hint=DecayHint("gaussian", math.pi / 2))
+    psi = _gaussian()
     res = l2_norm_squared(psi, abs_tol=1e-10, rel_tol=1e-8)
     assert res.flag == CONVERGENT
     assert res.value == pytest.approx(1.0, rel=1e-7)
@@ -224,24 +332,29 @@ def test_gaussian_plane_norm():
 
 
 def test_gaussian_with_site():
-    # |psi| = |z|^-0.5 exp(-|z|^2 / 2); integral of r^-1 e^{-r^2} dA = pi^{3/2}
-    psi = FakePsi(
-        lambda z: -0.5 * np.log(np.abs(z)) - 0.5 * np.abs(z) ** 2,
-        sites=[(0.0, -0.5)],
-        hint=DecayHint("gaussian", 0.5),
-    )
+    psi = _gaussian_with_site()
     res = l2_norm_squared(psi, abs_tol=1e-10, rel_tol=1e-7)
     assert res.flag == CONVERGENT
     assert res.value == pytest.approx(math.pi**1.5, rel=1e-6)
 
 
 def test_algebraic_tail_extrapolation():
-    # |psi|^2 = (1 + r^2)^-1.2, plane integral pi / 0.2
-    psi = FakePsi(lambda z: -0.6 * np.log1p(np.abs(z) ** 2), hint=DecayHint("power", 1.2))
+    psi = _power_tail()
     res = l2_norm_squared(psi, abs_tol=1e-9, rel_tol=1e-6)
     assert res.flag == CONVERGENT
     assert res.value == pytest.approx(5.0 * math.pi, rel=1e-5)
     assert res.radii_trace[-1][0] <= 512.0  # certified before the cap
+
+
+@pytest.mark.parametrize(
+    "make, abs_tol, rel_tol",
+    [(_gaussian, 1e-10, 1e-8), (_gaussian_with_site, 1e-10, 1e-7), (_power_tail, 1e-9, 1e-6)],
+    ids=["gaussian", "gaussian-with-site", "power-tail"],
+)
+def test_convergent_error_within_tolerance(make, abs_tol, rel_tol):
+    res = l2_norm_squared(make(), abs_tol=abs_tol, rel_tol=rel_tol)
+    assert res.flag == CONVERGENT
+    assert res.error_estimate <= max(abs_tol, rel_tol * res.value)
 
 
 def test_divergent_power_tail():
