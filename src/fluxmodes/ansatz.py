@@ -289,14 +289,6 @@ def _require_normalized(config: FluxConfiguration) -> None:
         raise ConfigError("configuration must be normalized; apply normalize_fluxes")
 
 
-def _removed_theta(config: FluxConfiguration, p: complex) -> float:
-    base = replace(config, perturbation=None)
-    for s in enumerate_support(base, abs(p) + 1.0):
-        if abs(s.position - p) <= _ZERO_TOL:
-            return s.theta
-    raise ConfigError(f"removed point {p} is not a site of the configuration")
-
-
 def _zero_sets(config: FluxConfiguration) -> list[tuple]:
     """(W, theta) for every component of the configuration, perturbation aside."""
     out: list = [(PointZeros(s.position), s.theta) for s in config.finite_sites]
@@ -320,8 +312,11 @@ def build_scalar_potential(config: FluxConfiguration) -> ScalarPotential:
     _require_normalized(config)
     terms = _zero_sets(config)
     if config.perturbation is not None:
-        for p in config.perturbation.removed:
-            terms.append((PointZeros(p), -_removed_theta(config, p)))
+        removed = config.perturbation.removed
+        if removed:
+            base = replace(config, perturbation=None)
+            sites = enumerate_support(base, 1.0 + max(map(abs, removed)))
+            terms.extend((PointZeros(p), -t) for p, t in zip(removed, sites.theta_at(removed)))
         for grp in config.perturbation.added:
             terms.extend((PointZeros(p), grp.theta) for p in grp.points)
     return ScalarPotential(tuple(terms), config.uniform_flux_density)

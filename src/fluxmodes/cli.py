@@ -335,17 +335,14 @@ def _cmd_grid(args, manifest: RunManifest) -> int:
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
 
+    # one row at a time: converting the whole grid at once costs memory
+    xcells = list(map(repr, xs.tolist()))
     lines = ["x,y,|psi|"]
-    for iy in range(ny):
-        for ix in range(nx):
-            v = values[iy, ix]
-            if math.isinf(v):
-                cell = "inf"
-            elif math.isnan(v):
-                cell = "nan"
-            else:
-                cell = repr(float(v))
-            lines.append(f"{float(xs[ix])!r},{float(ys[iy])!r},{cell}")
+    for yc, row in zip(map(repr, ys.tolist()), values):
+        lines.extend(
+            f"{xc},{yc},{repr(v) if math.isfinite(v) else 'nan' if v != v else 'inf'}"
+            for xc, v in zip(xcells, row.tolist())
+        )
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
 

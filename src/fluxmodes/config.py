@@ -5,7 +5,8 @@ Aharonov-Bohm fluxes: isolated sites, periodic chains (rank-1 lattices of
 parallel lines), full rank-2 lattices, an optional N-fold star of integer
 roots, and an optional discrete perturbation (removed / added points).
 
-All components are immutable; analytics are pure functions.
+All components are immutable; analytics are pure functions on arrays: the
+support within a radius is a `Support` of site position and flux arrays.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -414,100 +415,128 @@ def merge_collinear_chains(chains: Sequence[ChainComponent]) -> ChainComponent:
 # support enumeration
 
 
-def _enumerate_chain(ch: ChainComponent, r_max: float) -> list[FluxSite]:
-    pts = []
-    for off in ch.offsets:
-        span = (r_max + abs(off.position)) / abs(ch.omega0) + 1
-        ks = np.arange(-math.ceil(span), math.ceil(span) + 1)
-        pos = off.position + ks * ch.omega0
-        keep = np.abs(pos) <= r_max
-        pts.extend(FluxSite(p, off.theta) for p in pos[keep])
-    return pts
+@dataclass(frozen=True, eq=False)
+class Support:
+    """Flux sites as arrays: complex positions `pos` and their fluxes `theta`."""
+
+    pos: np.ndarray
+    theta: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pos)
+
+    def theta_at(self, points: Sequence[complex]) -> list[float]:
+        """Flux of the site at each removed point; raises if one is no site."""
+        hits = [np.flatnonzero(_distances(self.pos, p) < _COINCIDENCE_TOL) for p in points]
+        for p, hit in zip(points, hits):
+            if not hit.size:
+                raise ConfigError(f"removed point {p} is not a site of the configuration")
+        return [float(self.theta[hit[0]]) for hit in hits]
 
 
-def _enumerate_lattice(lat: LatticeComponent, r_max: float) -> list[FluxSite]:
-    w1, w2 = lat.basis.omega1, lat.basis.omega2
-    S = lat.basis.area
-    pts = []
-    for off in lat.offsets:
-        r = r_max + abs(off.position)
-        b1 = math.ceil(r * abs(w2) / S) + 1
-        b2 = math.ceil(r * abs(w1) / S) + 1
-        m1 = np.arange(-b1, b1 + 1)
-        m2 = np.arange(-b2, b2 + 1)
-        grid = off.position + m1[:, None] * w1 + m2[None, :] * w2
-        grid = grid.ravel()
-        keep = np.abs(grid) <= r_max
-        pts.extend(FluxSite(p, off.theta) for p in grid[keep])
-    return pts
+def _component_sites(config: FluxConfiguration, r_max: float):
+    """(positions within r_max, theta) per finite site, offset and star."""
+    for s in config.finite_sites:
+        if abs(s.position) <= r_max:
+            yield np.array([s.position]), s.theta
+    for ch in config.chains:
+        for off in ch.offsets:
+            span = math.ceil((r_max + abs(off.position)) / abs(ch.omega0) + 1)
+            pos = off.position + np.arange(-span, span + 1) * ch.omega0
+            yield pos[np.abs(pos) <= r_max], off.theta
+    for lat in config.lattices:
+        w1, w2 = lat.basis.omega1, lat.basis.omega2
+        for off in lat.offsets:
+            r = r_max + abs(off.position)
+            b1 = math.ceil(r * abs(w2) / lat.basis.area) + 1
+            b2 = math.ceil(r * abs(w1) / lat.basis.area) + 1
+            m1, m2 = np.arange(-b1, b1 + 1), np.arange(-b2, b2 + 1)
+            grid = (off.position + m1[:, None] * w1 + m2[None, :] * w2).ravel()
+            yield grid[np.abs(grid) <= r_max], off.theta
+    star = config.star
+    if star is not None:
+        n = star.order
+        m_max = int((r_max / star.scale) ** n) + 1
+        if m_max > 5_000_000:
+            raise ConfigError("star enumeration radius too large")
+        radii = np.array([star.scale * m ** (1.0 / n) for m in range(1, m_max + 1)])
+        rays = np.array([cmath.exp(1j * math.pi * k / n) for k in range(2 * n)])
+        ring = radii[radii <= r_max, None] * rays
+        yield np.concatenate(([0j], ring.ravel())), star.theta
 
 
-def _enumerate_star(star: StarComponent, r_max: float) -> list[FluxSite]:
-    pts = [FluxSite(0.0, star.theta)]
-    m_max = int((r_max / star.scale) ** star.order) + 1
-    if m_max > 5_000_000:
-        raise ConfigError("star enumeration radius too large")
-    n = star.order
-    for m in range(1, m_max + 1):
-        rad = star.scale * m ** (1.0 / n)
-        if rad > r_max:
-            break
-        for k in range(2 * n):
-            pts.append(FluxSite(rad * cmath.exp(1j * math.pi * k / n), star.theta))
-    return pts
+def _distances(pos: np.ndarray, p: complex) -> np.ndarray:
+    # np.hypot, unlike np.abs, rounds exactly as Python's abs(complex)
+    return np.hypot(pos.real - p.real, pos.imag - p.imag)
 
 
-def enumerate_support(config: FluxConfiguration, r_max: float) -> list[FluxSite]:
-    """Every flux site with |position| <= r_max, perturbation applied.
+_PAIRWISE_MAX = 64  # up to this many points a distance matrix beats a k-d tree
 
-    Deterministic order: ascending |z|, then ascending arg.  Raises on
-    coincidences between components or between added and regular sites.
-    """
+
+def _apart(pos: np.ndarray, msg: str, bound: float) -> float:
+    """Minimum pairwise gap of the points, inf if no gap is below `bound`.
+    Raises naming a point closer than _COINCIDENCE_TOL to another."""
+    if len(pos) < 2:
+        return math.inf
+    if len(pos) <= _PAIRWISE_MAX:
+        d = pos[:, None] - pos
+        d = np.sqrt(d.real * d.real + d.imag * d.imag)  # the k-d tree's rounding
+        d.flat[:: len(pos) + 1] = math.inf
+        d[d >= bound] = math.inf
+        gaps = d.min(axis=1)
+    else:
+        from scipy.spatial import cKDTree
+
+        xy = np.column_stack([pos.real, pos.imag])
+        gaps = cKDTree(xy, balanced_tree=False).query(xy, k=2, distance_upper_bound=bound)[0][:, 1]
+    dup = pos[gaps < _COINCIDENCE_TOL]
+    if dup.size:
+        raise ConfigError(f"{msg}: duplicate site at {dup[np.lexsort((dup.imag, dup.real))[0]]}")
+    return float(gaps.min())
+
+
+def _sites(config: FluxConfiguration, r_max: float, gap: bool = False):
+    """Unsorted site positions and fluxes and, with `gap`, their minimum gap
+    (else inf); one nearest-neighbour pass per site set checks overlaps."""
     if not (r_max > 0):
         raise ConfigError("r_max must be positive")
-    sites: list[FluxSite] = [s for s in config.finite_sites if abs(s.position) <= r_max]
-    for ch in config.chains:
-        sites.extend(_enumerate_chain(ch, r_max))
-    for lat in config.lattices:
-        sites.extend(_enumerate_lattice(lat, r_max))
-    if config.star is not None:
-        sites.extend(_enumerate_star(config.star, r_max))
-
-    _reject_close_pairs(sites, "components overlap")
-
+    parts = list(_component_sites(config, r_max))
+    pos = np.concatenate([p for p, _ in parts]) if parts else np.empty(0, complex)
+    theta = np.repeat([float(t) for _, t in parts], [len(p) for p, _ in parts])
     pert = config.perturbation
+    reach = math.inf if gap else _COINCIDENCE_TOL
+    min_gap = _apart(pos, "components overlap", _COINCIDENCE_TOL if pert is not None else reach)
     if pert is not None:
+        keep = np.ones(len(pos), dtype=bool)
         for rm in pert.removed:
-            hit = [i for i, s in enumerate(sites) if abs(s.position - rm) < _COINCIDENCE_TOL]
-            if not hit and abs(rm) <= r_max:
+            hit = keep & (_distances(pos, rm) < _COINCIDENCE_TOL)
+            if not hit.any() and abs(rm) <= r_max:
                 raise ConfigError(f"removed point {rm} is not a site")
-            for i in reversed(hit):
-                sites.pop(i)
-        added = []
-        for a in pert.added:
-            added.extend(FluxSite(p, a.theta) for p in a.points if abs(p) <= r_max)
-        for s in added:
-            if any(abs(s.position - t.position) < _COINCIDENCE_TOL for t in sites):
-                raise ConfigError(f"added point {s.position} collides with a regular site")
-        _reject_close_pairs(added, "added sets overlap")
-        sites.extend(added)
-
-    sites.sort(key=lambda s: (abs(s.position), cmath.phase(s.position) if s.position else -4.0))
-    return sites
+            keep &= ~hit
+        pos, theta = pos[keep], theta[keep]
+        added = [(p, a.theta) for a in pert.added for p in a.points if abs(p) <= r_max]
+        for p, _ in added:
+            if (_distances(pos, p) < _COINCIDENCE_TOL).any():
+                raise ConfigError(f"added point {p} collides with a regular site")
+        pos = np.append(pos, [p for p, _ in added])
+        theta = np.append(theta, [t for _, t in added])
+        # only pairs of added points can still be close
+        min_gap = _apart(pos, "added sets overlap", reach)
+    return pos, theta, min_gap
 
 
-def _reject_close_pairs(sites: list[FluxSite], msg: str) -> None:
-    if len(sites) < 2:
-        return
-    from scipy.spatial import cKDTree
+def enumerate_support(config: FluxConfiguration, r_max: float) -> Support:
+    """Every flux site with |position| <= r_max, perturbation applied, as a
+    `Support` of position and flux arrays.
 
-    pos = np.array([s.position for s in sites])
-    tree = cKDTree(np.column_stack([pos.real, pos.imag]))
-    pairs = tree.query_pairs(_COINCIDENCE_TOL, output_type="ndarray")
-    pairs = pairs[np.abs(pos[pairs[:, 0]] - pos[pairs[:, 1]]) < _COINCIDENCE_TOL]
-    if len(pairs):
-        dup = pos[pairs.ravel()]
-        raise ConfigError(f"{msg}: duplicate site at {dup[np.lexsort((dup.imag, dup.real))[0]]}")
+    Deterministic order: ascending |z|, then ascending arg (the origin
+    first).  Raises on coincidences between components or between added
+    and regular sites.
+    """
+    pos, theta, _ = _sites(config, r_max)
+    phase = np.array([cmath.phase(z) if z else -4.0 for z in pos.tolist()])
+    order = np.lexsort((phase, np.hypot(pos.real, pos.imag)))
+    return Support(pos[order], theta[order])
 
 
 # ---------------------------------------------------------------------------
@@ -782,17 +811,5 @@ def uniformly_discrete(config: FluxConfiguration, window: float = 40.0) -> tuple
             if _as_rational(a) is None or _as_rational(b) is None:
                 return False, 0.0
 
-    sites = enumerate_support(config, window)
-    if len(sites) < 2:
-        return True, math.inf
-    pos = np.array([s.position for s in sites])
-    gap = _min_gap(pos)
+    _, _, gap = _sites(config, window, gap=True)  # inf for fewer than two sites
     return gap > 1e-6, gap
-
-
-def _min_gap(pos: np.ndarray) -> float:
-    from scipy.spatial import cKDTree
-
-    pts = np.column_stack([pos.real, pos.imag])
-    d, _ = cKDTree(pts).query(pts, k=2)
-    return float(d[:, 1].min())

@@ -172,7 +172,8 @@ def _fold_finite(config: FluxConfiguration) -> FluxConfiguration:
         default=0.0,
     )
     sites = enumerate_support(config, radius)
-    return replace(config, finite_sites=tuple(sites), perturbation=None)
+    finite = tuple(map(FluxSite, sites.pos.tolist(), sites.theta.tolist()))
+    return replace(config, finite_sites=finite, perturbation=None)
 
 
 def _sites_as_additions(config: FluxConfiguration) -> FluxConfiguration:
@@ -388,9 +389,7 @@ def _rule_landau_general(
 ) -> ZeroModeVerdict:
     xi0 = config.uniform_flux_density
     aligned = SPIN_PLUS if xi0 > 0 else SPIN_MINUS
-    stats = set_stats(
-        lambda r: [s.position for s in enumerate_support(config, r)], r_max
-    )
+    stats = set_stats(lambda r: enumerate_support(config, r).pos, r_max)
     values = {
         "b0": 2.0 * math.pi * xi0,
         "genus": float(stats.genus),
@@ -417,20 +416,6 @@ def _rule_landau_general(
 
 # ---------------------------------------------------------------------------
 # R8: perturbed configurations
-
-
-def _removed_thetas(base: FluxConfiguration, removed: tuple[complex, ...]) -> list[float]:
-    if not removed:
-        return []
-    radius = 1.0 + max(abs(p) for p in removed)
-    sites = enumerate_support(base, radius)
-    out = []
-    for p in removed:
-        match = [s.theta for s in sites if abs(s.position - p) <= 1e-9]
-        if not match:
-            raise ConfigError(f"removed point {p} is not a site of the configuration")
-        out.append(match[0])
-    return out
 
 
 def _counting_saturates(stats: SetStats) -> bool:
@@ -460,7 +445,9 @@ def _rule_perturbed(config: FluxConfiguration, spin: str, r_max: float) -> ZeroM
         "tauPrime": tau_p,
     }
 
-    removed_thetas = _removed_thetas(base_cfg, removed)
+    removed_thetas = []
+    if removed:
+        removed_thetas = enumerate_support(base_cfg, 1.0 + max(map(abs, removed))).theta_at(removed)
     is_move = (
         len(removed_thetas) > 0
         and len(removed_thetas) == len(added_thetas)

@@ -721,7 +721,7 @@ def phi_reference(cfg, z):
     if cfg.perturbation is not None:
         base = enumerate_support(replace(cfg, perturbation=None), 10.0)
         for p in cfg.perturbation.removed:
-            theta = next(s.theta for s in base if abs(s.position - p) < 1e-9)
+            theta = next(t for w, t in zip(base.pos, base.theta) if abs(w - p) < 1e-9)
             out = out - theta * np.log(np.abs(z - p))
         for grp in cfg.perturbation.added:
             for p in grp.points:

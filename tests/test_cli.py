@@ -1,10 +1,13 @@
 """CLI front end: exit codes, report structure, CSV grids, manifests."""
 
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
+from fluxmodes import cli
 from fluxmodes.cli import main
 from fluxmodes.config import config_from_dict, config_to_dict, normalize_fluxes
 
@@ -320,6 +323,46 @@ def test_grid_deterministic_bytes(tmp_path, capsys):
     _, first = run(capsys, *args)
     _, second = run(capsys, *args)
     assert first == second
+
+
+PATCHED = {
+    "lattices": [
+        {"omega1": [2.0, 0.0], "omega2": [0.0, 2.0], "offsets": [{"kappa": [0.0, 0.0], "theta": 0.5}]}
+    ],
+    "perturbation": {"removed": [[0.0, 0.0]], "added": [{"points": [[1.0, 0.3]], "theta": 0.6}]},
+}
+
+
+@pytest.mark.parametrize(
+    "spin, digest",
+    [
+        ("+", "c5b40c8b78ff324035b3adeda23417cedaaffb090567c5c2e1dbfeb097713ae7"),
+        ("-", "95f64f8ee438818f60a4c0ab5d0216582850cb8f664f8c2c4b364f469a23e6f7"),
+    ],
+)
+def test_grid_csv_bytes_frozen(tmp_path, capsys, spin, digest):
+    # the side-2 lattice with its origin site removed: eight nodes on lattice
+    # sites print inf, the node on the removed site a finite value
+    args = ("--bounds", "-2", "2", "-2", "2", "--resolution", "9", "9")
+    code, out = run(capsys, "grid", write(tmp_path, PATCHED), "--spin", spin, *args)
+    assert code == 0
+    cells = [line.split(",")[2] for line in out.splitlines()[1:]]
+    assert cells.count("inf") == 8
+    assert math.isfinite(float(next(l for l in out.splitlines() if l.startswith("0.0,0.0,")).split(",")[2]))
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_grid_csv_nonfinite_cells(tmp_path, capsys, monkeypatch):
+    values = np.array([[math.inf, -math.inf, math.nan], [0.0, 1e-300, 2.5]])
+    monkeypatch.setattr(cli, "sample_grid", lambda *args: values)
+    args = ("--bounds", "-1", "1", "0", "0.5", "--resolution", "3", "2")
+    code, out = run(capsys, "grid", write(tmp_path, TWO_SITES), "--spin", "+", *args)
+    assert code == 0
+    assert out == (
+        "x,y,|psi|\n"
+        "-1.0,0.0,inf\n0.0,0.0,inf\n1.0,0.0,nan\n"
+        "-1.0,0.5,0.0\n0.0,0.5,1e-300\n1.0,0.5,2.5\n"
+    )
 
 
 def test_grid_member_out_of_range(tmp_path, capsys):

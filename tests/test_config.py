@@ -1,5 +1,6 @@
 """Configuration model and point-set analytics tests."""
 
+import cmath
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluxmodes import config as config_module
 from fluxmodes.config import (
     AddedSet,
     ChainComponent,
@@ -111,11 +113,11 @@ class TestChainMerge:
         merged = merge_collinear_chains([c1, c2])
         want = set()
         for c in (c1, c2):
-            for s in enumerate_support(FluxConfiguration(chains=(c,)), 10.0):
-                want.add((round(s.position.real, 6), round(s.position.imag, 6)))
+            for w in enumerate_support(FluxConfiguration(chains=(c,)), 10.0).pos:
+                want.add((round(w.real, 6), round(w.imag, 6)))
         got = {
-            (round(s.position.real, 6), round(s.position.imag, 6))
-            for s in enumerate_support(FluxConfiguration(chains=(merged,)), 10.0)
+            (round(w.real, 6), round(w.imag, 6))
+            for w in enumerate_support(FluxConfiguration(chains=(merged,)), 10.0).pos
         }
         assert got == want
 
@@ -142,7 +144,7 @@ class TestEnumeration:
 
     def test_sorted_by_radius(self):
         cfg = FluxConfiguration(chains=(chain(1.0, (0.0, 0.5)),))
-        rad = [abs(s.position) for s in enumerate_support(cfg, 6.0)]
+        rad = [abs(w) for w in enumerate_support(cfg, 6.0).pos.tolist()]
         assert rad == sorted(rad)
 
     def test_added_collision_rejected(self):
@@ -176,11 +178,197 @@ class TestEnumeration:
         expected = sum(abs(z + s.position) <= 10.0 for z in grid for s in members)
         assert len(enumerate_support(cfg, 10.0)) == expected
 
+    def test_theta_at_sites_and_non_sites(self):
+        members = (FluxSite(0.0, 0.5), FluxSite(0.5 + 0.5j, 0.25))
+        sites = enumerate_support(FluxConfiguration(lattices=(LatticeComponent(SQUARE, members),)), 3.0)
+        assert sites.theta_at([2.0, 1.5 - 0.5j, 1e-10]) == [0.5, 0.25, 0.5]
+        with pytest.raises(ConfigError, match=r"^removed point 0.5j is not a site of the configuration$"):
+            sites.theta_at([1.0, 0.5j])
+
     def test_star_counts(self):
         cfg = FluxConfiguration(star=StarComponent(3, 0.5))
         sites = enumerate_support(cfg, 1.9)  # radii 1, 2^(1/3), ..., < 1.9 -> m <= 6
         # origin + 6 rays * m in {1..6}
         assert len(sites) == 1 + 6 * 6
+
+
+# ---------------------------------------------------------------------------
+# the list-based enumeration that the array-native Support replaced, kept as
+# a bitwise oracle: one FluxSite per site, sorted with a Python key
+
+
+def _ref_chain(ch, r_max):
+    pts = []
+    for off in ch.offsets:
+        span = (r_max + abs(off.position)) / abs(ch.omega0) + 1
+        ks = np.arange(-math.ceil(span), math.ceil(span) + 1)
+        pos = off.position + ks * ch.omega0
+        keep = np.abs(pos) <= r_max
+        pts.extend(FluxSite(p, off.theta) for p in pos[keep])
+    return pts
+
+
+def _ref_lattice(lat, r_max):
+    w1, w2 = lat.basis.omega1, lat.basis.omega2
+    S = lat.basis.area
+    pts = []
+    for off in lat.offsets:
+        r = r_max + abs(off.position)
+        b1 = math.ceil(r * abs(w2) / S) + 1
+        b2 = math.ceil(r * abs(w1) / S) + 1
+        m1 = np.arange(-b1, b1 + 1)
+        m2 = np.arange(-b2, b2 + 1)
+        grid = off.position + m1[:, None] * w1 + m2[None, :] * w2
+        grid = grid.ravel()
+        keep = np.abs(grid) <= r_max
+        pts.extend(FluxSite(p, off.theta) for p in grid[keep])
+    return pts
+
+
+def _ref_star(star, r_max):
+    pts = [FluxSite(0.0, star.theta)]
+    m_max = int((r_max / star.scale) ** star.order) + 1
+    n = star.order
+    for m in range(1, m_max + 1):
+        rad = star.scale * m ** (1.0 / n)
+        if rad > r_max:
+            break
+        for k in range(2 * n):
+            pts.append(FluxSite(rad * cmath.exp(1j * math.pi * k / n), star.theta))
+    return pts
+
+
+def _ref_support(config, r_max):
+    sites = [s for s in config.finite_sites if abs(s.position) <= r_max]
+    for ch in config.chains:
+        sites.extend(_ref_chain(ch, r_max))
+    for lat in config.lattices:
+        sites.extend(_ref_lattice(lat, r_max))
+    if config.star is not None:
+        sites.extend(_ref_star(config.star, r_max))
+    pert = config.perturbation
+    if pert is not None:
+        for rm in pert.removed:
+            hit = [i for i, s in enumerate(sites) if abs(s.position - rm) < 1e-9]
+            for i in reversed(hit):
+                sites.pop(i)
+        for a in pert.added:
+            sites.extend(FluxSite(p, a.theta) for p in a.points if abs(p) <= r_max)
+    sites.sort(key=lambda s: (abs(s.position), cmath.phase(s.position) if s.position else -4.0))
+    return sites
+
+
+def _ref_gap(config, window):
+    from scipy.spatial import cKDTree
+
+    pos = np.array([s.position for s in _ref_support(config, window)])
+    pts = np.column_stack([pos.real, pos.imag])
+    d, _ = cKDTree(pts).query(pts, k=2)
+    return float(d[:, 1].min())
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+ORACLE_CONFIGS = {
+    # sites tie on every nonzero radius: twelve on radius 5 = |3 + 4i|
+    "square-ties": (FluxConfiguration(lattices=(LatticeComponent(SQUARE, (FluxSite(0.0, 0.5),)),)), 7.5),
+    "thm6.7-two-lattices": (
+        FluxConfiguration(
+            uniform_flux_density=0.2,
+            lattices=(
+                LatticeComponent(SQUARE, (FluxSite(0j, 0.5),)),
+                LatticeComponent(
+                    LatticeBasis(math.sqrt(2), math.sqrt(2) * 1j), (FluxSite(0.1 + 0.1j, 0.5),)
+                ),
+            ),
+        ),
+        30.0,
+    ),
+    "chains": (
+        FluxConfiguration(
+            chains=(
+                chain(1.0, (0.0, 0.5)),
+                chain(2.0, (0.5 + 0.5j, 0.3), (1.25 - 0.5j, 0.7)),
+                chain(0.9 * cmath.exp(0.7j), (0.2 + 1.3j, 0.4)),
+            )
+        ),
+        12.0,
+    ),
+    "star3": (FluxConfiguration(star=StarComponent(3, 0.5, 0.8)), 6.0),
+    "finite": (
+        FluxConfiguration(
+            finite_sites=tuple(FluxSite(complex(x, y), 0.1 + 0.07 * i) for i, (x, y) in
+                               enumerate([(0, 0), (1, 0), (0, 1), (-1, 0), (0.3, -2.2), (4, 3)]))
+        ),
+        5.0,
+    ),
+    "perturbed-lattice": (
+        FluxConfiguration(
+            lattices=(LatticeComponent(LatticeBasis(2.0, 0.5 + 2.0j), (FluxSite(0.25j, 0.5),)),),
+            perturbation=Perturbation(
+                removed=(0.25j, 2.0 + 0.25j),
+                added=(AddedSet((1.0 + 0.3j, -0.7 + 1.1j), 0.6), AddedSet((30.0,), 0.2)),
+            ),
+        ),
+        20.0,
+    ),
+}
+
+
+class TestSupportOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+    def test_matches_list_enumeration_bitwise(self, name):
+        cfg, r_max = ORACLE_CONFIGS[name]
+        ref = _ref_support(cfg, r_max)
+        got = enumerate_support(cfg, r_max)
+        assert len(got) == len(ref) > 1
+        assert got.pos.dtype == complex and got.theta.dtype == float
+        assert _bits(got.pos) == _bits(np.array([s.position for s in ref]))
+        assert _bits(got.theta) == _bits(np.array([s.theta for s in ref]))
+
+    def test_square_ties_ordered_by_arg(self):
+        cfg, r_max = ORACLE_CONFIGS["square-ties"]
+        pos = enumerate_support(cfg, r_max).pos
+        on_five = [w for w in pos.tolist() if abs(w) == 5.0]
+        assert len(on_five) == 12
+        assert on_five[0] == complex(-4, -3) and on_five[-1] == -5
+
+    @pytest.mark.parametrize(
+        "cfg, window, tree",
+        [
+            (ORACLE_CONFIGS["finite"][0], 5.0, False),
+            (ORACLE_CONFIGS["chains"][0], 8.0, False),
+            (ORACLE_CONFIGS["chains"][0], 20.0, True),
+            (ORACLE_CONFIGS["square-ties"][0], 10.0, True),
+            (ORACLE_CONFIGS["perturbed-lattice"][0], 40.0, True),
+            (ORACLE_CONFIGS["perturbed-lattice"][0], 4.0, False),
+            (
+                FluxConfiguration(lattices=(LatticeComponent(
+                    LatticeBasis(1.1, 0.35 + 0.95j), (FluxSite(0j, 0.5), FluxSite(0.41 + 0.37j, 0.3))
+                ),)),
+                40.0,
+                True,
+            ),
+        ],
+    )
+    def test_uniformly_discrete_gap_bitwise(self, cfg, window, tree):
+        n = len(enumerate_support(cfg, window))
+        assert (n > config_module._PAIRWISE_MAX) == tree
+        ok, gap = uniformly_discrete(cfg, window=window)
+        assert ok
+        assert _bits(gap) == _bits(_ref_gap(cfg, window))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9, 17, 33, 64, 65, 300])
+    def test_random_finite_gap_bitwise(self, n):
+        # np.hypot would round about one gap in six differently
+        rng = np.random.default_rng(n)
+        for _ in range(12):
+            pts = rng.uniform(-8, 8, n) + 1j * rng.uniform(-8, 8, n)
+            cfg = FluxConfiguration(finite_sites=tuple(FluxSite(p, 0.5) for p in pts))
+            _, gap = uniformly_discrete(cfg, window=20.0)
+            assert _bits(gap) == _bits(_ref_gap(cfg, 20.0))
 
 
 class TestSetStats:
@@ -198,7 +386,7 @@ class TestSetStats:
 
     def test_square_lattice(self):
         cfg = FluxConfiguration(lattices=(LatticeComponent(SQUARE, (FluxSite(0.0, 0.5),)),))
-        pts = np.array([s.position for s in enumerate_support(cfg, 100.0)])
+        pts = enumerate_support(cfg, 100.0).pos
         stats = set_stats(pts, 100.0)
         assert stats.convergence_exponent == pytest.approx(2.0, abs=0.1)
         assert stats.genus == 2
@@ -207,7 +395,7 @@ class TestSetStats:
 
     def test_star_exponent(self):
         cfg = FluxConfiguration(star=StarComponent(3, 0.5))
-        pts = np.array([s.position for s in enumerate_support(cfg, 12.0)])
+        pts = enumerate_support(cfg, 12.0).pos
         stats = set_stats(pts, 12.0)
         assert stats.convergence_exponent == pytest.approx(3.0, abs=0.1)
         assert stats.genus == 3
