@@ -20,6 +20,10 @@ ln|psi| evaluates each distinct entire function once per point: for spin
 '-' the weight theta of a zero set and the power -1 of 1/W become one term
 with weight theta - 1.
 
+The flux sites themselves and the grouping of chains by carrying line come
+from `config` (`unsorted_support`, `line_groups`), which `decide` consults
+too; zero sets only evaluate.
+
 Wave functions expose log-magnitude, pointwise values, the matching vector
 potential and the list of fractional local exponents, which is the protocol
 the quadrature certifier consumes.
@@ -33,14 +37,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import (
-    PARALLEL_TOL,
+    COINCIDENCE_TOL,
     ConfigError,
     FluxConfiguration,
     enumerate_support,
     has_nonparallel,
+    line_groups,
     mirror_configuration,
     normalize_fluxes,
     parallel_directions,
+    unsorted_support,
 )
 from .decide import DEFAULT_R_MAX, ZeroModeVerdict, decide
 from .special import (
@@ -60,8 +66,6 @@ from .special import (
 from .verify import DecayHint
 
 _EXISTS = ("ExistsFinite", "ExistsInfinite")
-_SITE_KEY_DIGITS = 9
-_ZERO_TOL = 1e-9
 
 
 class NoModesError(ValueError):
@@ -72,17 +76,14 @@ def _cplx(z) -> np.ndarray:
     return np.asarray(z, dtype=complex)
 
 
-def _site_key(p: complex) -> tuple[float, float]:
-    return (round(p.real, _SITE_KEY_DIGITS), round(p.imag, _SITE_KEY_DIGITS))
-
-
 # ---------------------------------------------------------------------------
 # zero sets
 #
 # Each class is an entire function W vanishing simply on one component's
-# sites.  It provides ln|W|, W, W'/W, the sites within a radius and the zero
-# order at a point.  A term (W, w) of phi contributes w*ln|W(z)| to phi and
-# i*w*conj(W'/W) to a_x + i a_y, so a = sgrad phi holds term by term.
+# sites.  It provides ln|W|, W, W'/W and the zero order at a point; the
+# sites themselves are listed by `config`.  A term (W, w) of phi contributes
+# w*ln|W(z)| to phi and i*w*conj(W'/W) to a_x + i a_y, so a = sgrad phi
+# holds term by term.
 
 
 @dataclass(frozen=True)
@@ -102,11 +103,8 @@ class PointZeros:
         with np.errstate(divide="ignore", invalid="ignore"):
             return 1.0 / (z - self.position)
 
-    def sites(self, r: float) -> list[complex]:
-        return [self.position] if abs(self.position) <= r else []
-
     def zero_order_at(self, p: complex) -> int:
-        return 1 if abs(p - self.position) <= _ZERO_TOL else 0
+        return 1 if abs(p - self.position) <= COINCIDENCE_TOL else 0
 
 
 @dataclass(frozen=True)
@@ -135,17 +133,6 @@ class SinZeros:
         per, k2, d, w = self._rotated(z)
         return chain_dlog(per, k2, w) / d
 
-    def sites(self, r: float) -> list[complex]:
-        per = abs(self.omega0)
-        mc = -np.real(self.kappa * np.conj(self.omega0)) / per**2
-        d = abs(np.imag(self.kappa * np.conj(self.omega0))) / per
-        if d > r:
-            return []
-        half = math.sqrt(max(r * r - d * d, 0.0)) / per + 1.0
-        ms = np.arange(math.floor(mc - half), math.ceil(mc + half) + 1)
-        pos = self.kappa + ms * self.omega0
-        return [complex(p) for p in pos[np.abs(pos) <= r]]
-
     def zero_order_at(self, p: complex) -> int:
         u = (complex(p) - self.kappa) / self.omega0
         return 1 if abs(u.imag) <= 1e-7 and abs(u.real - round(u.real)) <= 1e-7 else 0
@@ -166,19 +153,6 @@ class SigmaZeros:
 
     def dlog(self, z: np.ndarray) -> np.ndarray:
         return sigma_tilde_dlog(self.basis, z - self.kappa)
-
-    def sites(self, r: float) -> list[complex]:
-        w1, w2 = self.basis.omega1, self.basis.omega2
-        area = self.basis.area
-        reach = r + abs(self.kappa)
-        imax = int(math.ceil(reach * abs(w2) / area)) + 1
-        jmax = int(math.ceil(reach * abs(w1) / area)) + 1
-        out: list[complex] = []
-        js = np.arange(-jmax, jmax + 1)
-        for i in range(-imax, imax + 1):
-            pos = self.kappa + i * w1 + js * w2
-            out.extend(complex(p) for p in pos[np.abs(pos) <= r])
-        return out
 
     def zero_order_at(self, p: complex) -> int:
         w1, w2 = self.basis.omega1, self.basis.omega2
@@ -203,25 +177,14 @@ class StarZeros:
         w = z / self.scale
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.sin(math.pi * w**self.order) / w ** (self.order - 1)
-        return np.where(np.abs(w) <= _ZERO_TOL, 0j, out)
+        return np.where(np.abs(w) <= COINCIDENCE_TOL, 0j, out)
 
     def dlog(self, z: np.ndarray) -> np.ndarray:
         return star_dlog(self.order, z / self.scale) / self.scale
 
-    def sites(self, r: float) -> list[complex]:
-        out = [0j]
-        n = self.order
-        m_max = int(math.floor((r / self.scale) ** n + 1e-12))
-        if m_max >= 1:
-            radii = self.scale * np.arange(1, m_max + 1) ** (1.0 / n)
-            rays = np.exp(1j * math.pi * np.arange(2 * n) / n)
-            pos = (radii[:, None] * rays[None, :]).ravel()
-            out.extend(complex(p) for p in pos[np.abs(pos) <= r])
-        return out
-
     def zero_order_at(self, p: complex) -> int:
         w = complex(p) / self.scale
-        if abs(w) <= _ZERO_TOL:
+        if abs(w) <= COINCIDENCE_TOL:
             return 1
         u = w**self.order
         return 1 if abs(u.imag) <= 1e-7 and abs(u.real - round(u.real)) <= 1e-7 else 0
@@ -233,11 +196,12 @@ def _uniform_phi(xi0: float, z: np.ndarray) -> np.ndarray:
 
 class ScalarPotential:
     """phi = pi xi0 |z|^2 / 2 plus sum w ln|W| over its (zero set W, weight w)
-    terms."""
+    terms, for the configuration whose flux sites are its singularities."""
 
-    def __init__(self, terms: tuple, uniform_flux_density: float):
+    def __init__(self, terms: tuple, config: FluxConfiguration):
         self.terms = terms
-        self.uniform_flux_density = uniform_flux_density
+        self.config = config
+        self.uniform_flux_density = config.uniform_flux_density
 
     def value(self, z) -> np.ndarray:
         z = _cplx(z)
@@ -248,15 +212,9 @@ class ScalarPotential:
         return out
 
     def singular_sites(self, r: float) -> list[tuple[complex, float]]:
-        acc: dict[tuple[float, float], list] = {}
-        for zeros, w in self.terms:
-            for p in zeros.sites(r):
-                k = _site_key(p)
-                if k in acc:
-                    acc[k][1] += w
-                else:
-                    acc[k] = [p, w]
-        return [(p, w) for p, w in acc.values() if abs(w) > _ZERO_TOL]
+        """(position, flux) of every flux site with |position| <= r."""
+        sites = unsorted_support(self.config, r)
+        return list(zip(sites.pos.tolist(), sites.theta.tolist()))
 
 
 class VectorPotential:
@@ -319,7 +277,7 @@ def build_scalar_potential(config: FluxConfiguration) -> ScalarPotential:
             terms.extend((PointZeros(p), -t) for p, t in zip(removed, sites.theta_at(removed)))
         for grp in config.perturbation.added:
             terms.extend((PointZeros(p), grp.theta) for p in grp.points)
-    return ScalarPotential(tuple(terms), config.uniform_flux_density)
+    return ScalarPotential(tuple(terms), config)
 
 
 def build_vector_potential(phi: ScalarPotential) -> VectorPotential:
@@ -350,7 +308,7 @@ class Monomial:
         return z**self.k
 
     def zero_order_at(self, p: complex) -> int:
-        return self.k if abs(p) <= _ZERO_TOL else 0
+        return self.k if abs(p) <= COINCIDENCE_TOL else 0
 
 
 @dataclass(frozen=True)
@@ -368,7 +326,7 @@ class SincLine:
         w = self._w(z)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.real(log_sin(self.alpha * w)) - np.log(np.abs(w))
-        return np.where(np.abs(w) <= _ZERO_TOL, math.log(self.alpha), out)
+        return np.where(np.abs(w) <= COINCIDENCE_TOL, math.log(self.alpha), out)
 
     def value(self, z: np.ndarray) -> np.ndarray:
         w = self._w(z)
@@ -398,7 +356,7 @@ class StarSinc:
         u = w**self.order
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.real(log_sin(self.alpha * u)) - self.order * np.log(np.abs(w))
-        return np.where(np.abs(w) <= _ZERO_TOL, math.log(self.alpha), out)
+        return np.where(np.abs(w) <= COINCIDENCE_TOL, math.log(self.alpha), out)
 
     def value(self, z: np.ndarray) -> np.ndarray:
         w = z / self.scale
@@ -410,7 +368,7 @@ class StarSinc:
 
     def zero_order_at(self, p: complex) -> int:
         u = (complex(p) / self.scale) ** self.order
-        if abs(u) <= _ZERO_TOL or abs(u.imag) > 1e-7:
+        if abs(u) <= COINCIDENCE_TOL or abs(u.imag) > 1e-7:
             return 0
         k = round(self.alpha * u.real / math.pi)
         return 1 if k != 0 and abs(self.alpha * u.real - math.pi * k) <= 1e-7 else 0
@@ -451,7 +409,7 @@ class ExoticSinc:
         pu = math.pi * u
         with np.errstate(divide="ignore", invalid="ignore"):
             num = np.real(log_sin(u)) - np.log(np.abs(u))
-            num = np.where(np.abs(u) <= _ZERO_TOL, 0.0, num)
+            num = np.where(np.abs(u) <= COINCIDENCE_TOL, 0.0, num)
         return num - _log_abs_sinc_sqrt(pu) - _log_abs_sinc_sqrt(-pu) - math.log(math.pi)
 
     def value(self, z: np.ndarray) -> np.ndarray:
@@ -547,7 +505,7 @@ class WaveFunction:
             for piece, power in self.factor:
                 if power:
                     e += power * piece.zero_order_at(p)
-            if abs(e - round(e)) > _ZERO_TOL:
+            if abs(e - round(e)) > COINCIDENCE_TOL:
                 out.append((p, e))
         return out
 
@@ -621,25 +579,6 @@ def _alpha_grid(upper: float, count: int, alpha: float | None) -> list[float]:
     return grid
 
 
-def _line_groups(chains) -> list[list]:
-    """Group chains by carrying line (same direction up to sign, same offset)."""
-    groups: list[tuple[complex, complex, list]] = []
-    for ch in chains:
-        d = ch.direction
-        base = ch.offsets[0].position
-        placed = False
-        for d0, b0, members in groups:
-            if parallel_directions(d0, d):
-                delta = base - b0
-                if abs((delta / d0).imag) <= PARALLEL_TOL * max(1.0, abs(delta)):
-                    members.append(ch)
-                    placed = True
-                    break
-        if not placed:
-            groups.append((d, base, [ch]))
-    return [g[2] for g in groups]
-
-
 def _line_flux_density(group) -> float:
     """pi * (flux per unit length) along one carrying line."""
     return math.pi * sum(
@@ -698,7 +637,7 @@ def _finite_recipe(config: FluxConfiguration, verdict: ZeroModeVerdict, count: i
 
 
 def _chain_recipe(config: FluxConfiguration, count: int, alpha: float | None) -> _Recipe:
-    groups = _line_groups(config.chains)
+    groups = line_groups(config.chains)
     lead = groups[0]
     theta_bar = _line_flux_density(lead)
     origin = lead[0].offsets[0].position
@@ -789,7 +728,7 @@ def _landau_general_recipe(config: FluxConfiguration, count: int) -> _Recipe:
 
 
 def _perturbed_chain_recipe(config: FluxConfiguration, count: int, alpha: float | None) -> _Recipe:
-    groups = _line_groups(config.chains)
+    groups = line_groups(config.chains)
     lead = groups[0]
     other_dirs = [g for g in groups if not parallel_directions(lead[0].direction, g[0].direction)]
     upper = 0.5 * _line_flux_density(lead)
@@ -980,8 +919,7 @@ def build_divergence_candidate(
     elif config.chains or config.star is not None:
         hint = DecayHint("ring", 0.0)
     else:
-        reach = max((abs(zeros.position) for zeros, _ in phi.terms), default=0.0) + 1.0
-        sites = phi.singular_sites(reach)
+        sites = phi.singular_sites(math.inf)
         if verdict.spin == "+":
             rate = sum(w for _, w in sites)
         else:

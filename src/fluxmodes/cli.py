@@ -7,6 +7,7 @@ every report is byte stable (--deterministic is accepted and changes nothing).
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -154,14 +155,16 @@ def _emit_report(report: dict, manifest: RunManifest, filename: str) -> None:
 
 def _auto_probe(psi, clearance: float) -> ProbeRegion:
     """Annulus on a fixed search grid, maximizing distance to singular sites."""
-    sites = [p for p, _ in psi.singular_sites(12.0)]
-    best_c, best_d = 0j, -1.0
-    for x in np.linspace(-3.075, 3.075, 21):
-        for y in np.linspace(-3.05, 3.05, 21):
-            c = complex(x, y)
-            d = min((abs(c - p) for p in sites), default=4.0)
-            if d > best_d:
-                best_d, best_c = d, c
+    sites = np.array([p for p, _ in psi.singular_sites(12.0)], dtype=complex)
+    xs, ys = np.linspace(-3.075, 3.075, 21), np.linspace(-3.05, 3.05, 21)
+    # x-major: of tied centres, argmax takes the first in this order
+    x, y = np.repeat(xs, ys.size), np.tile(ys, xs.size)
+    if sites.size:
+        dist = np.hypot(x[:, None] - sites.real, y[:, None] - sites.imag).min(axis=1)
+    else:
+        dist = np.full(x.size, 4.0)
+    i = int(np.argmax(dist))
+    best_c, best_d = complex(x[i], y[i]), float(dist[i])
     if best_d < 4.0 * clearance:
         raise DomainError("no probe annulus clears the singular set")
     r_outer = min(0.6 * best_d, best_d - 1.5 * clearance)
@@ -371,6 +374,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
+@functools.cache  # built once: a build costs about a millisecond
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-abs", type=float, default=1e-8, help="absolute quadrature tolerance")

@@ -7,6 +7,11 @@ roots, and an optional discrete perturbation (removed / added points).
 
 All components are immutable; analytics are pure functions on arrays: the
 support within a radius is a `Support` of site position and flux arrays.
+
+This module is the one home of configuration geometry: `unsorted_support`
+and `enumerate_support` list the flux sites, `line_groups` groups chains by
+carrying line, and `PARALLEL_TOL` and `COINCIDENCE_TOL` are the tolerances
+of both; `decide` and `ansatz` derive neither themselves.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ import numpy as np
 
 from .special import DomainError, LatticeBasis
 
-_COINCIDENCE_TOL = 1e-9
+# two sites closer than this coincide; decide and ansatz both test by it
+COINCIDENCE_TOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -249,7 +255,7 @@ def _check_distinct(points: Sequence[complex], what: str) -> None:
     pts = list(points)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) < _COINCIDENCE_TOL:
+            if abs(pts[i] - pts[j]) < COINCIDENCE_TOL:
                 raise ConfigError(f"coincident {what}: {pts[i]}")
 
 
@@ -307,7 +313,9 @@ def _as_rational(x: float, cap: int = 10**6, rel: float = 1e-13) -> Fraction | N
 
 
 # chain directions d1, d2 are parallel (equal up to sign) when
-# |Im(d2/d1)| <= PARALLEL_TOL; decide and ansatz both route on this test
+# |Im(d2/d1)| <= PARALLEL_TOL, and a point lies on the line through a along
+# d when |Im((p - a)/d)| <= PARALLEL_TOL max(1, |p - a|); decide and ansatz
+# both route on these tests
 PARALLEL_TOL = 1e-9
 
 
@@ -323,15 +331,33 @@ def has_nonparallel(chains: Sequence[ChainComponent]) -> bool:
     )
 
 
-def _chain_line(chain: ChainComponent) -> tuple[complex, complex] | None:
-    """(anchor, unit direction) if the whole component lies on one line."""
-    d = chain.direction
+def _on_line(anchor: complex, d: complex, p: complex) -> bool:
+    delta = p - anchor
+    return abs((delta / d).imag) <= PARALLEL_TOL * max(1.0, abs(delta))
+
+
+def _single_line(chain: ChainComponent) -> bool:
+    """Whether every offset of the chain lies on the line of its first."""
     anchor = chain.offsets[0].position
-    for off in chain.offsets:
-        rel = (off.position - anchor) / d
-        if abs(rel.imag) > _COINCIDENCE_TOL:
-            return None
-    return anchor, d
+    return all(_on_line(anchor, chain.direction, s.position) for s in chain.offsets)
+
+
+def line_groups(chains: Sequence[ChainComponent]) -> list[list[ChainComponent]]:
+    """Chains grouped by carrying line, the line of a chain's first offset:
+    each joins the first group whose first chain is parallel to it and
+    whose line holds its first offset."""
+    groups: list[list[ChainComponent]] = []
+    for ch in chains:
+        for group in groups:
+            lead = group[0]
+            if parallel_directions(lead.direction, ch.direction) and _on_line(
+                lead.offsets[0].position, lead.direction, ch.offsets[0].position
+            ):
+                group.append(ch)
+                break
+        else:
+            groups.append([ch])
+    return groups
 
 
 def merge_collinear_chains(chains: Sequence[ChainComponent]) -> ChainComponent:
@@ -345,15 +371,11 @@ def merge_collinear_chains(chains: Sequence[ChainComponent]) -> ChainComponent:
     chains = list(chains)
     if not chains:
         raise ConfigError("nothing to merge")
-    lines = [_chain_line(c) for c in chains]
-    if any(l is None for l in lines):
+    if not all(map(_single_line, chains)):
         raise ConfigError("merge requires every component to lie on a single line")
-    anchor, d = lines[0]
-    for (a, dd), ch in zip(lines, chains):
-        if abs((dd / d).imag) > _COINCIDENCE_TOL:
-            raise ConfigError("chains are not parallel")
-        if abs(((a - anchor) / d).imag) > _COINCIDENCE_TOL:
-            raise ConfigError("chains lie on different parallel lines")
+    if len(line_groups(chains)) > 1:
+        raise ConfigError("chains do not share one line")
+    d = chains[0].direction
 
     # periods as real multiples of the common direction
     periods = [(c.omega0 / d).real for c in chains]
@@ -395,7 +417,7 @@ def merge_collinear_chains(chains: Sequence[ChainComponent]) -> ChainComponent:
     merged: list[FluxSite] = []
     for s in sites:
         for i, t in enumerate(merged):
-            if abs(t.position - s.position) < _COINCIDENCE_TOL:
+            if abs(t.position - s.position) < COINCIDENCE_TOL:
                 merged[i] = FluxSite(t.position, t.theta + s.theta)
                 break
         else:
@@ -427,7 +449,7 @@ class Support:
 
     def theta_at(self, points: Sequence[complex]) -> list[float]:
         """Flux of the site at each removed point; raises if one is no site."""
-        hits = [np.flatnonzero(_distances(self.pos, p) < _COINCIDENCE_TOL) for p in points]
+        hits = [np.flatnonzero(_distances(self.pos, p) < COINCIDENCE_TOL) for p in points]
         for p, hit in zip(points, hits):
             if not hit.size:
                 raise ConfigError(f"removed point {p} is not a site of the configuration")
@@ -475,7 +497,7 @@ _PAIRWISE_MAX = 64  # up to this many points a distance matrix beats a k-d tree
 
 def _apart(pos: np.ndarray, msg: str, bound: float) -> float:
     """Minimum pairwise gap of the points, inf if no gap is below `bound`.
-    Raises naming a point closer than _COINCIDENCE_TOL to another."""
+    Raises naming a point closer than COINCIDENCE_TOL to another."""
     if len(pos) < 2:
         return math.inf
     if len(pos) <= _PAIRWISE_MAX:
@@ -489,7 +511,7 @@ def _apart(pos: np.ndarray, msg: str, bound: float) -> float:
 
         xy = np.column_stack([pos.real, pos.imag])
         gaps = cKDTree(xy, balanced_tree=False).query(xy, k=2, distance_upper_bound=bound)[0][:, 1]
-    dup = pos[gaps < _COINCIDENCE_TOL]
+    dup = pos[gaps < COINCIDENCE_TOL]
     if dup.size:
         raise ConfigError(f"{msg}: duplicate site at {dup[np.lexsort((dup.imag, dup.real))[0]]}")
     return float(gaps.min())
@@ -504,19 +526,19 @@ def _sites(config: FluxConfiguration, r_max: float, gap: bool = False):
     pos = np.concatenate([p for p, _ in parts]) if parts else np.empty(0, complex)
     theta = np.repeat([float(t) for _, t in parts], [len(p) for p, _ in parts])
     pert = config.perturbation
-    reach = math.inf if gap else _COINCIDENCE_TOL
-    min_gap = _apart(pos, "components overlap", _COINCIDENCE_TOL if pert is not None else reach)
+    reach = math.inf if gap else COINCIDENCE_TOL
+    min_gap = _apart(pos, "components overlap", COINCIDENCE_TOL if pert is not None else reach)
     if pert is not None:
         keep = np.ones(len(pos), dtype=bool)
         for rm in pert.removed:
-            hit = keep & (_distances(pos, rm) < _COINCIDENCE_TOL)
+            hit = keep & (_distances(pos, rm) < COINCIDENCE_TOL)
             if not hit.any() and abs(rm) <= r_max:
                 raise ConfigError(f"removed point {rm} is not a site")
             keep &= ~hit
         pos, theta = pos[keep], theta[keep]
         added = [(p, a.theta) for a in pert.added for p in a.points if abs(p) <= r_max]
         for p, _ in added:
-            if (_distances(pos, p) < _COINCIDENCE_TOL).any():
+            if (_distances(pos, p) < COINCIDENCE_TOL).any():
                 raise ConfigError(f"added point {p} collides with a regular site")
         pos = np.append(pos, [p for p, _ in added])
         theta = np.append(theta, [t for _, t in added])
@@ -525,18 +547,26 @@ def _sites(config: FluxConfiguration, r_max: float, gap: bool = False):
     return pos, theta, min_gap
 
 
-def enumerate_support(config: FluxConfiguration, r_max: float) -> Support:
+def unsorted_support(config: FluxConfiguration, r_max: float) -> Support:
     """Every flux site with |position| <= r_max, perturbation applied, as a
     `Support` of position and flux arrays.
 
-    Deterministic order: ascending |z|, then ascending arg (the origin
-    first).  Raises on coincidences between components or between added
-    and regular sites.
+    Component order: finite sites, chain offsets, lattice offsets and the
+    star, removed points dropped, then the added points.  Raises on
+    coincidences between components or between added and regular sites.
     """
     pos, theta, _ = _sites(config, r_max)
+    return Support(pos, theta)
+
+
+def enumerate_support(config: FluxConfiguration, r_max: float) -> Support:
+    """The sites of `unsorted_support` in a deterministic order: ascending
+    |z|, then ascending arg (the origin first)."""
+    sites = unsorted_support(config, r_max)
+    pos = sites.pos
     phase = np.array([cmath.phase(z) if z else -4.0 for z in pos.tolist()])
     order = np.lexsort((phase, np.hypot(pos.real, pos.imag)))
-    return Support(pos[order], theta[order])
+    return Support(pos[order], sites.theta[order])
 
 
 # ---------------------------------------------------------------------------
@@ -774,21 +804,10 @@ def uniformly_discrete(config: FluxConfiguration, window: float = 40.0) -> tuple
         # consecutive radii m^(1/N) approach each other: never uniformly discrete
         return False, 0.0
 
-    # chains sharing one line must merge into a single chain
-    groups: dict[tuple, list[ChainComponent]] = {}
-    for ch in config.chains:
-        line = _chain_line(ch)
-        if line is None:
-            # offsets form parallel lines inside one component: uniformly
-            # discrete by construction (finitely many distinct lines)
-            continue
-        anchor, d = line
-        # canonical line key: direction mod sign, signed distance from origin
-        dd = d if (d.real, d.imag) >= (0, 0) else -d
-        dist = (anchor / dd).imag
-        key = (round(dd.real, 9), round(dd.imag, 9), round(dist, 9))
-        groups.setdefault(key, []).append(ch)
-    for group in groups.values():
+    # chains sharing one line must merge into a single chain; one whose
+    # offsets form several parallel lines is left out, being uniformly
+    # discrete by itself
+    for group in line_groups([ch for ch in config.chains if _single_line(ch)]):
         if len(group) > 1:
             try:
                 merge_collinear_chains(group)

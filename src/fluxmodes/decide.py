@@ -32,7 +32,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import (
-    PARALLEL_TOL,
     AddedSet,
     ChainComponent,
     ConfigError,
@@ -42,8 +41,8 @@ from .config import (
     SetStats,
     enumerate_support,
     has_nonparallel,
+    line_groups,
     normalize_fluxes,
-    parallel_directions,
     set_stats,
     uniformly_discrete,
 )
@@ -213,27 +212,15 @@ def _rule_finite(sites: tuple[FluxSite, ...], spin: str) -> ZeroModeVerdict:
 # R2/R3: chains
 
 
-def _collinear_one_atom(chains: tuple[ChainComponent, ...]) -> bool:
-    if len(chains) < 2 or any(len(c.offsets) != 1 for c in chains):
-        return False
-    d0 = chains[0].direction
-    base = chains[0].offsets[0].position
-    for c in chains:
-        if not parallel_directions(d0, c.direction):
-            return False
-        delta = c.offsets[0].position - base
-        if abs((delta / d0).imag) > PARALLEL_TOL * max(1.0, abs(delta)):
-            return False
-    return True
-
-
 def _rule_chains(config: FluxConfiguration, spin: str) -> ZeroModeVerdict:
     ud, gap = uniformly_discrete(config)
     if ud:
         values = {"nChains": float(len(config.chains)), "minGap": gap}
         return ZeroModeVerdict(spin, EXISTS_INFINITE, "Thm 6.3", values)
-    if _collinear_one_atom(config.chains):
-        return _rule_collinear(config.chains, spin)
+    chains = config.chains
+    one_atom = len(chains) > 1 and all(len(c.offsets) == 1 for c in chains)
+    if one_atom and len(line_groups(chains)) == 1:
+        return _rule_collinear(chains, spin)
     return _unknown(spin, "", {"nChains": float(len(config.chains)), "minGap": gap})
 
 

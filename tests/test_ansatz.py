@@ -128,6 +128,26 @@ def test_phi_singular_sites_weights():
     assert sites[0.5 + 1j] == pytest.approx(0.3)
     assert 2.0 + 0j not in sites  # removal cancels the chain weight exactly
 
+    # phi's sites are the configuration's support: none lost, none added
+    patched = norm(
+        FluxConfiguration(
+            lattices=SQUARE.lattices,
+            perturbation=Perturbation(removed=(2.0 + 2.0j,), added=(AddedSet((1.0 + 0.3j,), 0.6),)),
+        )
+    )
+    star = norm(FluxConfiguration(star=StarComponent(order=3, theta=0.5)))
+    for cfg in (SQUARE, star, patched):
+        sites = dict(build_scalar_potential(cfg).singular_sites(5.0))
+        support = enumerate_support(cfg, 5.0)
+        assert len(sites) == len(support)
+        pos = np.array(list(sites))
+        for p, theta in zip(support.pos, support.theta):
+            near = pos[np.argmin(np.abs(pos - p))]
+            assert abs(near - p) <= 1e-12 * max(1.0, abs(p))
+            assert sites[complex(near)] == pytest.approx(theta)
+    removed = 2.0 + 2.0j
+    assert min(abs(p - removed) for p, _ in build_scalar_potential(patched).singular_sites(5.0)) > 1.0
+
 
 def test_vector_potential_site_evaluation_rejected():
     a = build_vector_potential(build_scalar_potential(TWO_SITES))

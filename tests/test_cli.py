@@ -197,6 +197,55 @@ def test_verify_convergent_error_within_tolerance(tmp_path, capsys):
     assert quad["errorEstimate"] <= max(1e-8, 1e-2 * quad["value"])
 
 
+def test_parser_built_once_keeps_no_state(tmp_path, capsys):
+    path = write(tmp_path, TWO_SITES)
+    first = run(capsys, "decide", path, "--spin", "+")
+    code, doc = run_json(
+        capsys, "special", "constants", "--omega1", "1,0", "--omega2", "0,1", "--tol-special", "1e-7"
+    )
+    assert code == 0 and doc["manifest"]["tolerances"]["specialTol"] == 1e-7
+    assert run(capsys, "decide", path, "--spin", "+") == first
+    assert cli._build_parser() is cli._build_parser()
+
+
+def _auto_probe_scan(psi, clearance):
+    """The point-by-point scan that cli._auto_probe does in one array."""
+    sites = [p for p, _ in psi.singular_sites(12.0)]
+    best_c, best_d = 0j, -1.0
+    for x in np.linspace(-3.075, 3.075, 21):
+        for y in np.linspace(-3.05, 3.05, 21):
+            c = complex(x, y)
+            d = min((abs(c - p) for p in sites), default=4.0)
+            if d > best_d:
+                best_d, best_c = d, c
+    r_outer = min(0.6 * best_d, best_d - 1.5 * clearance)
+    return cli.ProbeRegion(best_c, 0.3 * r_outer, r_outer)
+
+
+class _Sites:
+    def __init__(self, points):
+        self.points = points
+
+    def singular_sites(self, r):
+        return [(p, 0.5) for p in self.points if abs(p) <= r]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [],
+        [0j],
+        # two opposite corners of the search grid: the other two tie
+        [complex(-3.075, -3.05), complex(3.075, 3.05)],
+        [complex(x, y) for x, y in np.random.default_rng(5).uniform(-6.0, 6.0, (40, 2))],
+    ],
+    ids=["none", "origin", "corners", "random"],
+)
+def test_auto_probe_matches_scan(points):
+    psi = _Sites(points)
+    assert cli._auto_probe(psi, 0.01) == _auto_probe_scan(psi, 0.01)
+
+
 def test_special_constants(capsys):
     code, doc = run_json(
         capsys, "special", "constants", "--omega1", "1,0", "--omega2", "0,1"

@@ -14,9 +14,13 @@ from fluxmodes.config import (
     LatticeComponent,
     Perturbation,
     StarComponent,
+    config_from_dict,
+    line_groups,
     mirror_configuration,
     normalize_fluxes,
+    uniformly_discrete,
 )
+from fluxmodes.ansatz import build_zero_modes
 from fluxmodes.decide import (
     EXISTS_FINITE,
     EXISTS_INFINITE,
@@ -161,6 +165,40 @@ def test_incommensurable_collinear_unknown():
     w = decide(cfg, "-")  # mirrored fluxes satisfy the weighted-sum condition
     assert w.status == EXISTS_INFINITE
     assert w.theorem == "Thm 6.4a"
+
+
+def test_incommensurable_collinear_offsets_ulps_apart():
+    # periods 1 and sqrt 2 on one line whose offsets lie 1.8e-16 apart across
+    # it: one line for decide and ansatz alike, so the union is dense in the
+    # line and the collinear catalog decides, not the discrete-chain rule
+    u = complex(-0.9447974800351602, 0.327654882031706)
+    assert abs(u) == pytest.approx(1.0)
+    doc = {
+        "chains": [
+            {"omega0": [w.real, w.imag], "offsets": [{"kappa": k, "theta": t}]}
+            for w, k, t in (
+                (u, [0.1057981189526307, 0.8151790776227912], 0.3),
+                (SQRT2 * u, [-0.5149563675333964, 1.0304561526978246], 0.4),
+            )
+        ]
+    }
+    assert doc["chains"][1]["omega0"] == [-1.3361454099616472, 0.4633739779469952]
+    cfg, _ = normalize_fluxes(config_from_dict(doc))
+    across = ((cfg.chains[1].offsets[0].position - cfg.chains[0].offsets[0].position) / u).imag
+    assert 0.0 < abs(across) < 1e-15
+    assert len(line_groups(cfg.chains)) == 1
+    assert uniformly_discrete(cfg) == (False, 0.0)
+    v = decide(cfg, "+")
+    assert (v.status, v.theorem) == (EXISTS_INFINITE, "Thm 6.4")
+    assert v.condition_values["conditionIndex"] == 1.0
+    w = decide(cfg, "-")
+    assert (w.status, w.theorem) == (EXISTS_INFINITE, "Thm 6.4a")
+    assert w.condition_values["conditionIndex"] == 2.0
+    # ansatz builds the collinear recipe: one sinc line per chain
+    fam = build_zero_modes(cfg, v, 1)
+    lines = [piece for piece, _ in fam.generator(0).factor]
+    assert [type(p).__name__ for p in lines] == ["SincLine", "SincLine"]
+    assert fam.alpha_range == pytest.approx((0.0, math.pi * 0.4 / math.sqrt(2.0)))
 
 
 def test_multi_atom_incommensurable_chains_unknown():
