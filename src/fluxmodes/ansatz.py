@@ -66,6 +66,9 @@ from .special import (
 from .verify import DecayHint
 
 _EXISTS = ("ExistsFinite", "ExistsInfinite")
+# how near a point's reduced coordinate must lie to a zero of the entire
+# factor for zero_order_at to count that zero
+_ZERO_ORDER_TOL = 1e-7
 
 
 class NoModesError(ValueError):
@@ -135,7 +138,7 @@ class SinZeros:
 
     def zero_order_at(self, p: complex) -> int:
         u = (complex(p) - self.kappa) / self.omega0
-        return 1 if abs(u.imag) <= 1e-7 and abs(u.real - round(u.real)) <= 1e-7 else 0
+        return 1 if abs(u.imag) <= _ZERO_ORDER_TOL and abs(u.real - round(u.real)) <= _ZERO_ORDER_TOL else 0
 
 
 @dataclass(frozen=True)
@@ -160,7 +163,7 @@ class SigmaZeros:
         d = complex(p) - self.kappa
         t1 = np.imag(np.conj(d) * w2) / s
         t2 = np.imag(np.conj(w1) * d) / s
-        return 1 if abs(t1 - round(t1)) <= 1e-7 and abs(t2 - round(t2)) <= 1e-7 else 0
+        return 1 if abs(t1 - round(t1)) <= _ZERO_ORDER_TOL and abs(t2 - round(t2)) <= _ZERO_ORDER_TOL else 0
 
 
 @dataclass(frozen=True)
@@ -187,7 +190,7 @@ class StarZeros:
         if abs(w) <= COINCIDENCE_TOL:
             return 1
         u = w**self.order
-        return 1 if abs(u.imag) <= 1e-7 and abs(u.real - round(u.real)) <= 1e-7 else 0
+        return 1 if abs(u.imag) <= _ZERO_ORDER_TOL and abs(u.real - round(u.real)) <= _ZERO_ORDER_TOL else 0
 
 
 def _uniform_phi(xi0: float, z: np.ndarray) -> np.ndarray:
@@ -337,10 +340,10 @@ class SincLine:
 
     def zero_order_at(self, p: complex) -> int:
         w = complex(self._w(_cplx(p)))
-        if abs(w.imag) > 1e-7:
+        if abs(w.imag) > _ZERO_ORDER_TOL:
             return 0
         k = round(self.alpha * w.real / math.pi)
-        return 1 if k != 0 and abs(self.alpha * w.real - math.pi * k) <= 1e-7 else 0
+        return 1 if k != 0 and abs(self.alpha * w.real - math.pi * k) <= _ZERO_ORDER_TOL else 0
 
 
 @dataclass(frozen=True)
@@ -368,10 +371,10 @@ class StarSinc:
 
     def zero_order_at(self, p: complex) -> int:
         u = (complex(p) / self.scale) ** self.order
-        if abs(u) <= COINCIDENCE_TOL or abs(u.imag) > 1e-7:
+        if abs(u) <= COINCIDENCE_TOL or abs(u.imag) > _ZERO_ORDER_TOL:
             return 0
         k = round(self.alpha * u.real / math.pi)
-        return 1 if k != 0 and abs(self.alpha * u.real - math.pi * k) <= 1e-7 else 0
+        return 1 if k != 0 and abs(self.alpha * u.real - math.pi * k) <= _ZERO_ORDER_TOL else 0
 
 
 def _log_abs_sinc_sqrt(u: np.ndarray) -> np.ndarray:
@@ -423,10 +426,10 @@ class ExoticSinc:
 
     def zero_order_at(self, p: complex) -> int:
         w = complex(self._w(_cplx(p)))
-        if abs(w.imag) > 1e-7:
+        if abs(w.imag) > _ZERO_ORDER_TOL:
             return 0
         k = round(self.alpha * w.real / math.pi)
-        if k == 0 or abs(self.alpha * w.real - math.pi * k) > 1e-7:
+        if k == 0 or abs(self.alpha * w.real - math.pi * k) > _ZERO_ORDER_TOL:
             return 0
         root = math.isqrt(abs(k))
         return 0 if root * root == abs(k) else 1

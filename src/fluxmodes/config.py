@@ -804,10 +804,11 @@ def uniformly_discrete(config: FluxConfiguration, window: float = 40.0) -> tuple
         # consecutive radii m^(1/N) approach each other: never uniformly discrete
         return False, 0.0
 
-    # chains sharing one line must merge into a single chain; one whose
-    # offsets form several parallel lines is left out, being uniformly
-    # discrete by itself
-    for group in line_groups([ch for ch in config.chains if _single_line(ch)]):
+    # chains sharing one line must merge into a single chain; each offset
+    # joins its own line, so a chain whose offsets form several parallel
+    # lines meets the chains on each of them
+    pieces = [ChainComponent(ch.omega0, (off,)) for ch in config.chains for off in ch.offsets]
+    for group in line_groups(pieces):
         if len(group) > 1:
             try:
                 merge_collinear_chains(group)

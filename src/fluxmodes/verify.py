@@ -30,11 +30,14 @@ The bulk is refined level by level: each level splits into four the panels
 that carry all but half the tolerance of the 6x6 vs 4x4 Gauss-Legendre error,
 and evaluates every child of the level in integrand calls of about
 _CHUNK_POINTS points.
-Tails are certified either by geometric stagnation of the annulus increments
-(exponential-type decay) or by a two-term power fit of the increments
-(algebraic decay); growth by factor >= DIVERGENCE_RATIO across two
-consecutive doublings flags divergence, without the site discs once the bulk
-alone shows it.
+Tails are certified by one rule.  After each annulus, each extrapolation the
+decay hint allows yields a candidate (value, tail error): geometric
+stagnation of the increments for exponential-type decay; a two-term power fit
+of the increments, or consecutive halving ratios, for algebraic decay.  The
+first candidate with tail error + quadrature error <= max(abs_tol,
+rel_tol * value) is Convergent, reporting exactly that value and that error.
+Growth by factor >= DIVERGENCE_RATIO across two consecutive doublings flags
+divergence, without the site discs once the bulk alone shows it.
 """
 
 from __future__ import annotations
@@ -130,29 +133,28 @@ class _SiteSet(NamedTuple):
     pos: np.ndarray
     expo: np.ndarray
     radius: np.ndarray
+    tree: object  # cKDTree of pos; None without sites
 
 
 def _site_set(pairs: Sequence[tuple[complex, float]]) -> _SiteSet:
     pairs = [(complex(p), float(e)) for p, e in pairs]
+    if any(e <= -1.0 for _, e in pairs):
+        raise DomainError("local exponent <= -1: |psi|^2 is not integrable")
     # integer local exponents are smooth; only fractional powers need care
     pairs = [pe for pe in pairs if abs(pe[1] - round(pe[1])) > 1e-9]
     if not pairs:
         z = np.zeros(0, dtype=complex)
-        return _SiteSet(z, np.zeros(0), np.zeros(0))
+        return _SiteSet(z, np.zeros(0), np.zeros(0), None)
+    from scipy.spatial import cKDTree
+
     pos = np.array([p for p, _ in pairs], dtype=complex)
     expo = np.array([e for _, e in pairs], dtype=float)
-    if pos.size >= 2:
-        from scipy.spatial import cKDTree
-
-        pts = np.column_stack([pos.real, pos.imag])
-        dist, _ = cKDTree(pts).query(pts, k=2)
-        nn = dist[:, 1]
-    else:
-        nn = np.full(pos.size, np.inf)
+    tree = cKDTree(np.column_stack([pos.real, pos.imag]))
+    nn = tree.query(tree.data, k=2)[0][:, 1]  # inf for a lone site
     radius = np.minimum(0.1 * nn, 0.5)
     if np.any(radius <= 0.0):
         raise DomainError("coincident singular sites")
-    return _SiteSet(pos, expo, radius)
+    return _SiteSet(pos, expo, radius, tree)
 
 
 class _Integrand:
@@ -166,19 +168,14 @@ class _Integrand:
     def __init__(self, log_abs: Callable, sites: _SiteSet):
         self.log_abs = log_abs
         self.sites = sites
-        self.tree = None
-        if sites.pos.size:
-            from scipy.spatial import cKDTree
-
-            self.tree = cKDTree(np.column_stack([sites.pos.real, sites.pos.imag]))
 
     def cutoff(self, Z: np.ndarray) -> np.ndarray:
         fac = np.ones(Z.shape)
-        if self.tree is None:
-            return fac
         s = self.sites
+        if s.tree is None:
+            return fac
         pts = np.column_stack([Z.real.ravel(), Z.imag.ravel()])
-        nearest = self.tree.query(pts, k=1, distance_upper_bound=float(s.radius.max()))[1]
+        nearest = s.tree.query(pts, k=1, distance_upper_bound=float(s.radius.max()))[1]
         nearest = nearest.reshape(Z.shape)
         near = nearest < s.pos.size
         i = nearest[near]
@@ -378,37 +375,61 @@ def _algebraic_tail(hint: DecayHint, increments: list[float], R: float) -> tuple
     return tail2, abs(tail2 - tail1) * 0.5
 
 
-def l2_norm_squared(
-    psi,
-    abs_tol: float = 1e-8,
-    rel_tol: float = 1e-6,
-    *,
-    initial_radius: float = _INITIAL_RADIUS,
-    radius_cap: float = RADIUS_CAP,
-    max_doublings: int = 12,
-) -> QuadratureResult:
+def _tail_candidates(
+    hint: DecayHint | None, increments: list[float], trace: list[tuple[float, float]], abs_tol: float
+):
+    """(plane integral, tail error) for each extrapolation beyond the last
+    annulus that the decay hint allows, in order of preference."""
+    R, total = trace[-1]
+    inc = increments[-1]
+    if hint is not None and hint.kind in ("power", "ring"):
+        # two-term power fit; its error counts the fit's own uncertainty and
+        # how far the certificate moved since the previous annulus
+        fit = _algebraic_tail(hint, increments, R)
+        prev = _algebraic_tail(hint, increments[:-1], R / 2.0)
+        if fit is not None and prev is not None:
+            certificate = total + fit[0]
+            yield certificate, fit[1] + abs(certificate - (trace[-2][1] + prev[0]))
+        # steep algebraic tails: consecutive halving ratios make the
+        # measured-ratio extrapolation exact for pure power increments
+        if len(increments) >= 3 and inc > 0.0:
+            q1 = inc / max(increments[-2], 1e-300)
+            q2 = increments[-2] / max(increments[-3], 1e-300)
+            if q1 < 0.5 and q2 < 0.5:
+                geo = inc * q1 / (1.0 - q1)
+                yield total + geo, 2.0 * geo
+    elif len(increments) >= 2:
+        prev_inc = increments[-2]
+        if inc <= abs_tol and prev_inc <= abs_tol:
+            yield total, inc
+        if prev_inc > 0.0:
+            q = inc / prev_inc
+            if q < 0.5:
+                geo = inc * q / (1.0 - q)
+                yield total, 2.0 * geo
+
+
+def l2_norm_squared(psi, abs_tol: float = 1e-8, rel_tol: float = 1e-6) -> QuadratureResult:
     """Integral of |psi|^2 over the plane with a convergence verdict.
 
-    Nested discs R, 2R, 4R, ...; see the module docstring for the cell
-    treatment and the certification rules.
+    Nested discs R = 4, 8, ... up to RADIUS_CAP; see the module docstring
+    for the cell treatment.  After each annulus, every tail extrapolation the decay
+    hint allows is one candidate (value, tail error); the first whose
+    tail error plus the accumulated quadrature error is at most
+    max(abs_tol, rel_tol * value) is returned as Convergent with that value
+    and that error.
     """
     hint = getattr(psi, "decay_hint", None)
-    algebraic = hint is not None and hint.kind in ("power", "ring")
-
     trace: list[tuple[float, float]] = []
     increments: list[float] = []
     total = 0.0
     quad_err = 0.0
     bad_ratios = 0
-    prev_certificate: float | None = None
     r_prev = -1.0
-    R = float(initial_radius)
+    R = _INITIAL_RADIUS
 
-    for _ in range(max_doublings):
-        pairs = psi.singular_sites(R + 1.0)
-        sites = _site_set(pairs)
-        if np.any(sites.expo <= -1.0):
-            raise DomainError("local exponent <= -1: |psi|^2 is not integrable")
+    while R <= RADIUS_CAP:
+        sites = _site_set(psi.singular_sites(R + 1.0))
         F = _Integrand(psi.log_abs, sites)
         tol_here = 0.1 * max(abs_tol, rel_tol * total)
         inc, e_bulk = _region_integral(F, max(r_prev, 0.0), R, tol_here, 0.1 * rel_tol)
@@ -440,47 +461,12 @@ def l2_norm_squared(
             if bad_ratios >= 2:
                 return QuadratureResult(total, math.inf, DIVERGENT, tuple(trace))
 
-        tol = max(abs_tol, rel_tol * max(total, 1e-300))
-        if algebraic:
-            fit = _algebraic_tail(hint, increments, R)
-            if fit is not None:
-                tail, fit_err = fit
-                certificate = total + tail
-                cons = (
-                    abs(certificate - prev_certificate) if prev_certificate is not None else math.inf
-                )
-                prev_certificate = certificate
-                if max(fit_err, cons) + quad_err <= max(abs_tol, rel_tol * certificate):
-                    return QuadratureResult(
-                        certificate, fit_err + min(cons, fit_err) + quad_err, CONVERGENT, tuple(trace)
-                    )
-            # steep algebraic tails: consecutive halving ratios make the
-            # measured-ratio extrapolation exact for pure power increments
-            if len(increments) >= 3 and increments[-1] > 0.0:
-                q1 = increments[-1] / max(increments[-2], 1e-300)
-                q2 = increments[-2] / max(increments[-3], 1e-300)
-                if q1 < 0.5 and q2 < 0.5:
-                    geo_tail = increments[-1] * q1 / (1.0 - q1)
-                    if geo_tail + quad_err <= tol:
-                        return QuadratureResult(
-                            total + geo_tail, 2.0 * geo_tail + quad_err, CONVERGENT, tuple(trace)
-                        )
-        else:
-            if len(increments) >= 2:
-                prev = increments[-2]
-                if inc <= abs_tol and prev <= abs_tol and quad_err + inc <= tol:
-                    return QuadratureResult(total, quad_err + inc, CONVERGENT, tuple(trace))
-                if prev > 0.0:
-                    q = inc / prev
-                    if q < 0.5:
-                        geo_tail = inc * q / (1.0 - q)
-                        if quad_err + 2.0 * geo_tail <= tol:
-                            return QuadratureResult(total, quad_err + 2.0 * geo_tail, CONVERGENT, tuple(trace))
+        for value, tail_err in _tail_candidates(hint, increments, trace, abs_tol):
+            if tail_err + quad_err <= max(abs_tol, rel_tol * value):
+                return QuadratureResult(value, tail_err + quad_err, CONVERGENT, tuple(trace))
 
         r_prev = R
         R *= 2.0
-        if R > radius_cap:
-            break
     return QuadratureResult(total, math.inf, INCONCLUSIVE, tuple(trace))
 
 
@@ -497,8 +483,6 @@ def integrate_disc(
     radial weights at each listed singular site, adaptive panels elsewhere.
     """
     sites = _site_set(singular_sites)
-    if np.any(sites.expo <= -1.0):
-        raise DomainError("local exponent <= -1: integral does not exist")
     F = _Integrand(log_abs, sites)
     rough = 0.0
     site_err = 0.0

@@ -175,26 +175,43 @@ def test_verify_chain_count(tmp_path, capsys):
     assert doc["recipe"]["alphaRange"] == pytest.approx([0.0, math.pi / 2.0])
 
 
-def test_verify_convergent_error_within_tolerance(tmp_path, capsys):
-    # Thm 6.8 on the side-2 square lattice, eta0 = xi0 * 4 = 0.3, spin -
-    landau = {
-        "uniform_flux_density": 0.075,
-        "lattices": [
+@pytest.mark.parametrize(
+    "config, args, tol_rel",
+    [
+        # Thm 6.8 on the side-2 square lattice, eta0 = xi0 * 4 = 0.3, spin -
+        (
             {
-                "omega1": [2.0, 0.0],
-                "omega2": [0.0, 2.0],
-                "offsets": [{"kappa": [0.0, 0.0], "theta": 0.5}],
-            }
-        ],
-    }
+                "uniform_flux_density": 0.075,
+                "lattices": [
+                    {
+                        "omega1": [2.0, 0.0],
+                        "omega2": [0.0, 2.0],
+                        "offsets": [{"kappa": [0.0, 0.0], "theta": 0.5}],
+                    }
+                ],
+            },
+            ("--spin", "-"),
+            1e-2,
+        ),
+        # Thm 6.3 chain: member 2's ring tail once stated 0.31 against 0.195
+        (
+            {"chains": [{"omega0": [1.0, 0.0], "offsets": [{"kappa": [0.0, 0.0], "theta": 0.5}]}]},
+            ("--spin", "+", "--count", "3"),
+            3e-2,
+        ),
+    ],
+    ids=["landau-lattice", "chain"],
+)
+def test_verify_convergent_error_within_tolerance(tmp_path, capsys, config, args, tol_rel):
     code, doc = run_json(
-        capsys, "verify", write(tmp_path, landau), "--spin", "-", "--tol-rel", "1e-2"
+        capsys, "verify", write(tmp_path, config), *args, "--tol-rel", str(tol_rel)
     )
     assert code == 0
     assert doc["status"] == "PASS"
-    quad = doc["members"][0]["quadrature"]
-    assert quad["flag"] == "Convergent"
-    assert quad["errorEstimate"] <= max(1e-8, 1e-2 * quad["value"])
+    for member in doc["members"]:
+        quad = member["quadrature"]
+        assert quad["flag"] == "Convergent"
+        assert quad["errorEstimate"] <= max(1e-8, tol_rel * quad["value"])
 
 
 def test_parser_built_once_keeps_no_state(tmp_path, capsys):

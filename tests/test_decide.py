@@ -201,6 +201,22 @@ def test_incommensurable_collinear_offsets_ulps_apart():
     assert fam.alpha_range == pytest.approx((0.0, math.pi * 0.4 / math.sqrt(2.0)))
 
 
+def test_chain_on_two_lines_meets_incommensurable_chain():
+    # the period-1 chain's offsets lie on two parallel lines; the period
+    # sqrt 2 chain shares the first, so their union there is dense
+    cfg = FluxConfiguration(
+        chains=(
+            chain(1.0, (0.0, 0.3), (0.5j, 0.3)),
+            chain(SQRT2, (0.3, 0.3)),
+        )
+    )
+    assert uniformly_discrete(cfg) == (False, 0.0)
+    for spin in "+-":
+        v = decide(cfg, spin)
+        assert v.status == UNKNOWN
+        assert v.condition_values["minGap"] == 0.0
+
+
 def test_multi_atom_incommensurable_chains_unknown():
     cfg = FluxConfiguration(
         chains=(
