@@ -19,8 +19,12 @@ Wave functions and potentials are consumed through a duck-typed protocol
   phi.singular_sites(r)     as above
 
 The quadrature integrates exp(2 log_abs) over nested discs R, 2R, 4R, ...
-Each site owns a disc of radius 0.1 x (nearest-neighbor distance); a C^inf
-partition of unity blends the site discs into the polar panels of the bulk.
+Each site owns a disc of radius 0.1 x (nearest-neighbor distance), at most
+0.5, so every site within 5 of it can set it; each annulus lists those too,
+and a site keeps one radius in every annulus.  A C^inf partition of unity
+blends the site discs into the polar panels of the bulk: each panel asks a
+k-d tree once for the sites whose discs can reach its nodes.  The discs are
+disjoint, so a node inside one takes that site's ramp, as its nearest site's.
 A disc's radial rule is split at the partition's ramp: Gauss-Jacobi on the
 core, where the cut is 1 and the known local power is the weight, and
 Gauss-Legendre on the ramp, with the power and the cut in its weights.  Its
@@ -43,6 +47,7 @@ divergence, without the site discs once the bulk alone shows it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -62,6 +67,9 @@ DEFAULT_MESHES = (1e-2, 5e-3, 2.5e-3)
 
 _INITIAL_RADIUS = 4.0
 _BUMP_LO, _BUMP_HI = 0.35, 0.95
+# a site's disc radius: this share of its nearest-neighbor distance, at most
+# _DISC_RADIUS_MAX, so only sites within _DISC_RADIUS_MAX / _DISC_SHARE set it
+_DISC_SHARE, _DISC_RADIUS_MAX = 0.1, 0.5
 _MAX_PANELS = 40_000
 # site-disc rules: (core, ramp) radial rows of the fine and coarse rules,
 # and trapezoid nodes on each row's circle
@@ -151,7 +159,7 @@ def _site_set(pairs: Sequence[tuple[complex, float]]) -> _SiteSet:
     expo = np.array([e for _, e in pairs], dtype=float)
     tree = cKDTree(np.column_stack([pos.real, pos.imag]))
     nn = tree.query(tree.data, k=2)[0][:, 1]  # inf for a lone site
-    radius = np.minimum(0.1 * nn, 0.5)
+    radius = np.minimum(_DISC_SHARE * nn, _DISC_RADIUS_MAX)
     if np.any(radius <= 0.0):
         raise DomainError("coincident singular sites")
     return _SiteSet(pos, expo, radius, tree)
@@ -160,9 +168,15 @@ def _site_set(pairs: Sequence[tuple[complex, float]]) -> _SiteSet:
 class _Integrand:
     """exp(2 log_abs) times a smooth cutoff vanishing inside site discs.
 
-    Site discs are disjoint (radius <= 0.1 x nearest-neighbor distance), so
-    a point inside one is nearer its center than any other site: the
-    cutoff at each point is the ramp of its nearest site alone.
+    The nodes come one row per polar box.  Each box asks the k-d tree once
+    for the sites within its spread (the largest node distance from the
+    box's centre) plus the largest disc radius, and keeps those within its
+    spread plus their own radius: only their discs can hold a node of the
+    box.  Site discs are disjoint (radius <= 0.1 x the distance to the
+    nearest of the sites within 5, which l2_norm_squared lists with each
+    annulus), so a node inside one is nearer its center than any other
+    site, and the cutoff there is the ramp of that site alone; every other
+    node keeps 1.
     """
 
     def __init__(self, log_abs: Callable, sites: _SiteSet):
@@ -174,13 +188,18 @@ class _Integrand:
         s = self.sites
         if s.tree is None:
             return fac
-        pts = np.column_stack([Z.real.ravel(), Z.imag.ravel()])
-        nearest = s.tree.query(pts, k=1, distance_upper_bound=float(s.radius.max()))[1]
-        nearest = nearest.reshape(Z.shape)
-        near = nearest < s.pos.size
-        i = nearest[near]
-        t = (np.abs(Z[near] - s.pos[i]) / s.radius[i] - _BUMP_LO) / (_BUMP_HI - _BUMP_LO)
-        fac[near] = _smooth_rise(t)
+        center = Z.mean(axis=1)
+        spread = np.abs(Z - center[:, None]).max(axis=1)
+        near = s.tree.query_ball_point(np.column_stack([center.real, center.imag]), spread + s.radius.max())
+        box = np.repeat(np.arange(len(near)), [len(i) for i in near])
+        site = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp, count=box.size)
+        keep = np.abs(center[box] - s.pos[site]) <= spread[box] + s.radius[site]
+        box, site = box[keep], site[keep]
+        dist = np.abs(Z[box] - s.pos[site, None])
+        pair, node = np.nonzero(dist < s.radius[site, None])
+        i = site[pair]
+        t = (dist[pair, node] / s.radius[i] - _BUMP_LO) / (_BUMP_HI - _BUMP_LO)
+        fac[box[pair], node] = _smooth_rise(t)
         return fac
 
     def __call__(self, Z: np.ndarray) -> np.ndarray:
@@ -429,7 +448,9 @@ def l2_norm_squared(psi, abs_tol: float = 1e-8, rel_tol: float = 1e-6) -> Quadra
     R = _INITIAL_RADIUS
 
     while R <= RADIUS_CAP:
-        sites = _site_set(psi.singular_sites(R + 1.0))
+        # the sites within R + 1 cut the bulk; those that can set their
+        # radii come too, so each site keeps one radius in every annulus
+        sites = _site_set(psi.singular_sites(R + 1.0 + _DISC_RADIUS_MAX / _DISC_SHARE))
         F = _Integrand(psi.log_abs, sites)
         tol_here = 0.1 * max(abs_tol, rel_tol * total)
         inc, e_bulk = _region_integral(F, max(r_prev, 0.0), R, tol_here, 0.1 * rel_tol)

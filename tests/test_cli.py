@@ -214,6 +214,57 @@ def test_verify_convergent_error_within_tolerance(tmp_path, capsys, config, args
         assert quad["errorEstimate"] <= max(1e-8, tol_rel * quad["value"])
 
 
+PARALLEL = {
+    "chains": [
+        {"omega0": [1.0, 0.0], "offsets": [{"kappa": [0.0, 0.0], "theta": 0.5}]},
+        {"omega0": [2.0, 0.0], "offsets": [{"kappa": [0.5, 0.0], "theta": 0.5}]},
+    ],
+    "perturbation": {
+        "removed": [[0.5, 0.0]],
+        "added": [{"points": [[2.3, 1.7], [-3.1, 2.4], [0.7, -2.2], [-1.6, -1.9], [4.2, 2.9]], "theta": 0.9}],
+    },
+}
+LATTICE2 = {
+    "lattices": [
+        {"omega1": [2.0, 0.0], "omega2": [0.0, 2.0], "offsets": [{"kappa": [0.0, 0.0], "theta": 0.5}]}
+    ]
+}
+
+
+@pytest.mark.parametrize(
+    "config, args, theorem, digest",
+    [
+        (
+            TWO_SITES,
+            ("--tol-rel", "1e-3"),
+            "Thm 6.1",
+            "e894428a211df31ee1aff72ee21b84c6342fb114fcdeeeee9137bff2a04b4e9b",
+        ),
+        (
+            LATTICE2,
+            ("--count", "1", "--tol-rel", "1e-2"),
+            "Thm 6.5",
+            "1d014fbc50ae9c58f968ab4ec284f60920bd463bd95bf0402ab41768c3522828",
+        ),
+        (
+            PARALLEL,
+            ("--tol-rel", "1e-1"),
+            "Thm 7.4",
+            "fe96bb93d7ff3e2d558deff380eee321f955fb53c5485f7d0e527783dcb33b68",
+        ),
+    ],
+    ids=["two-site", "lattice", "parallel-chains"],
+)
+def test_verify_report_bytes_frozen(tmp_path, capsys, config, args, theorem, digest):
+    # the certificate itself, every float of it, without the run manifest
+    code, doc = run_json(capsys, "verify", write(tmp_path, config), "--spin", "+", *args)
+    assert code == 0
+    assert doc["status"] == "PASS"
+    assert doc["verdict"]["theorem"] == theorem
+    del doc["manifest"]
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
+
+
 def test_parser_built_once_keeps_no_state(tmp_path, capsys):
     path = write(tmp_path, TWO_SITES)
     first = run(capsys, "decide", path, "--spin", "+")

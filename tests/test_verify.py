@@ -17,6 +17,7 @@ from fluxmodes.config import (
     FluxSite,
     LatticeComponent,
     StarComponent,
+    config_from_dict,
     normalize_fluxes,
 )
 from fluxmodes.decide import decide
@@ -30,6 +31,7 @@ from fluxmodes.verify import (
     DecayHint,
     ProbeRegion,
     _Integrand,
+    _region_integral,
     _site_disc_bounds,
     _site_disc_integral,
     _site_set,
@@ -300,6 +302,99 @@ def test_site_disc_matches_split_reference(family):
 
 
 # ---------------------------------------------------------------------------
+# bulk cutoff
+
+
+def _per_node_cutoff(sites, Z):
+    """The cutoff by one nearest-site k-d tree query per node."""
+    fac = np.ones(Z.shape)
+    pts = np.column_stack([Z.real.ravel(), Z.imag.ravel()])
+    nearest = sites.tree.query(pts, k=1, distance_upper_bound=float(sites.radius.max()))[1]
+    nearest = nearest.reshape(Z.shape)
+    near = nearest < sites.pos.size
+    i = nearest[near]
+    t = (np.abs(Z[near] - sites.pos[i]) / sites.radius[i] - _BUMP_LO) / (_BUMP_HI - _BUMP_LO)
+    fac[near] = _smooth_rise(t)
+    return fac
+
+
+def _parallel_mode():
+    # Thm 7.4: two parallel chains, one site removed and five added
+    doc = {
+        "chains": [
+            {"omega0": [1.0, 0.0], "offsets": [{"kappa": [0.0, 0.0], "theta": 0.5}]},
+            {"omega0": [2.0, 0.0], "offsets": [{"kappa": [0.5, 0.0], "theta": 0.5}]},
+        ],
+        "perturbation": {
+            "removed": [[0.5, 0.0]],
+            "added": [
+                {"points": [[2.3, 1.7], [-3.1, 2.4], [0.7, -2.2], [-1.6, -1.9], [4.2, 2.9]], "theta": 0.9}
+            ],
+        },
+    }
+    cfg, _ = normalize_fluxes(config_from_dict(doc))
+    return build_zero_modes(cfg, decide(cfg, "+"), 1).generator(0)
+
+
+def _box_rows(sites, annuli):
+    """The node rows, one per box, of every integrand call the bulk makes
+    on each annulus with the cutoff alone as integrand: the initial boxes
+    and the refined levels."""
+    F = _Integrand(lambda z: np.zeros(z.shape), sites)
+    chunks = []
+
+    def spy(Z):
+        chunks.append(Z)
+        return F(Z)
+
+    for r_lo, r_hi in annuli:
+        _region_integral(spy, r_lo, r_hi, 1e-4, 1e-4)
+    assert len(chunks) > len(annuli)  # one initial call per annulus, then refinement
+    return chunks
+
+
+# the first two annuli with their sites within R + 1 + 5, and the star's
+# sites near the origin, whose radii differ by more than 10x
+@pytest.mark.parametrize(
+    "family, reach, annuli",
+    [
+        ("lattice", 10.0, [(0.0, 4.0), (4.0, 8.0)]),
+        ("chain", 10.0, [(0.0, 4.0), (4.0, 8.0)]),
+        ("parallel", 10.0, [(0.0, 4.0), (4.0, 8.0)]),
+        ("star", 10.0, [(0.0, 4.0), (4.0, 8.0)]),
+        ("star", 2.5, [(0.0, 2.5)]),
+    ],
+    ids=["lattice", "chain", "parallel", "star", "star-near-origin"],
+)
+def test_box_cutoff_matches_per_node_reference(family, reach, annuli):
+    make = {"lattice": _lattice2_mode, "chain": _chain_mode, "parallel": _parallel_mode, "star": _star_mode}
+    psi = make[family]()
+    sites = _site_set(psi.singular_sites(reach))
+    F = _Integrand(psi.log_abs, sites)
+    touched = 0
+    for Z in _box_rows(sites, annuli):
+        got = F.cutoff(Z)
+        assert np.array_equal(got, _per_node_cutoff(sites, Z))
+        touched += int(np.count_nonzero(got < 1.0))
+    assert touched > 0
+    if family == "star":
+        assert sites.radius.max() > 10.0 * sites.radius.min()
+
+
+def test_box_cutoff_rows_no_disc_reaches():
+    # side-2 lattice: discs of radius 0.2 around 2Z^2; boxes between the
+    # sites, and far beyond every listed site, keep the cutoff 1
+    sites = _site_set(_lattice2_mode().singular_sites(10.0))
+    corner = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 52, endpoint=False))
+    centers = np.array([1 + 1j, -1 + 3j, 3 - 1j, 100 + 100j, -250j])
+    for spread in (0.1, 0.6):
+        Z = centers[:, None] + spread * corner * np.linspace(0.2, 1.0, 52)
+        got = _Integrand(lambda z: np.zeros(z.shape), sites).cutoff(Z)
+        assert np.array_equal(got, _per_node_cutoff(sites, Z))
+        assert np.all(got == 1.0)
+
+
+# ---------------------------------------------------------------------------
 # full-plane quadrature
 
 
@@ -393,6 +488,33 @@ def test_non_integrable_site_rejected():
             l2_norm_squared(FakePsi(log_abs, sites=[(0.0, expo)]))
         with pytest.raises(DomainError):
             integrate_disc(log_abs, [(0j, expo)], 1.0)
+
+
+class AllSitesPsi:
+    """Wave-function proxy listing every singular site at any radius."""
+
+    def __init__(self, psi):
+        self._psi = psi
+
+    def singular_sites(self, r):
+        return self._psi.singular_sites(math.inf)
+
+    def __getattr__(self, name):
+        return getattr(self._psi, name)
+
+
+def test_site_radius_same_in_every_annulus():
+    # the nearest neighbour of site 3.9 is 5.2, beyond the first annulus's
+    # R + 1 = 5: when each annulus took its radii from its sites within R + 1,
+    # site 3.9's disc was integrated with radius 0.39 and the next bulk was
+    # cut with radius 0.13, so the ring between them counted twice
+    sites = tuple(FluxSite(complex(x), 0.6) for x in (0.0, 3.9, 5.2))
+    cfg, _ = normalize_fluxes(FluxConfiguration(finite_sites=sites))
+    psi = build_zero_modes(cfg, decide(cfg, "+"), 1).generator(0)
+    res = l2_norm_squared(psi, 1e-10, 1e-7)
+    ref = l2_norm_squared(AllSitesPsi(psi), 1e-10, 1e-7)
+    assert res.flag == ref.flag == CONVERGENT
+    assert abs(res.value - ref.value) <= res.error_estimate
 
 
 # ---------------------------------------------------------------------------
