@@ -56,7 +56,7 @@ from .special import (
     chain_log_abs,
     lattice_constants,
     log_abs_sigma_tilde,
-    log_sin,
+    log_abs_sin,
     sigma_tilde,
     sigma_tilde_dlog,
     sinc_sqrt,
@@ -328,7 +328,7 @@ class SincLine:
     def log_abs(self, z: np.ndarray) -> np.ndarray:
         w = self._w(z)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.real(log_sin(self.alpha * w)) - np.log(np.abs(w))
+            out = log_abs_sin(self.alpha * w) - np.log(np.abs(w))
         return np.where(np.abs(w) <= COINCIDENCE_TOL, math.log(self.alpha), out)
 
     def value(self, z: np.ndarray) -> np.ndarray:
@@ -358,7 +358,7 @@ class StarSinc:
         w = z / self.scale
         u = w**self.order
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.real(log_sin(self.alpha * u)) - self.order * np.log(np.abs(w))
+            out = log_abs_sin(self.alpha * u) - self.order * np.log(np.abs(w))
         return np.where(np.abs(w) <= COINCIDENCE_TOL, math.log(self.alpha), out)
 
     def value(self, z: np.ndarray) -> np.ndarray:
@@ -386,7 +386,7 @@ def _log_abs_sinc_sqrt(u: np.ndarray) -> np.ndarray:
     big = ~small
     if big.any():
         r = np.sqrt(u[big])
-        out[big] = np.real(log_sin(r)) - 0.5 * np.log(np.abs(u[big]))
+        out[big] = log_abs_sin(r) - 0.5 * np.log(np.abs(u[big]))
     return out
 
 
@@ -411,7 +411,7 @@ class ExoticSinc:
         u = self.alpha * w
         pu = math.pi * u
         with np.errstate(divide="ignore", invalid="ignore"):
-            num = np.real(log_sin(u)) - np.log(np.abs(u))
+            num = log_abs_sin(u) - np.log(np.abs(u))
             num = np.where(np.abs(u) <= COINCIDENCE_TOL, 0.0, num)
         return num - _log_abs_sinc_sqrt(pu) - _log_abs_sinc_sqrt(-pu) - math.log(math.pi)
 

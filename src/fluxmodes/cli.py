@@ -3,7 +3,7 @@
 Subcommands: decide (verdict + exit code), verify (construct modes and
 certify them numerically), special (lattice/special function values),
 grid (|psi| samples as CSV).  Every JSON report embeds the RunManifest;
-every report is byte stable (--deterministic is accepted and changes nothing).
+every report is byte stable.
 """
 
 import argparse
@@ -386,11 +386,6 @@ def _build_parser() -> _Parser:
         "--mesh-ladder",
         default=",".join(repr(h) for h in DEFAULT_MESHES),
         help="comma separated finite difference steps",
-    )
-    common.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="accepted for compatibility: output is always byte stable",
     )
     common.add_argument("--seed", type=int, default=0, help="seed echoed into the manifest")
     common.add_argument("--output-dir", default=None, help="directory for report artifacts")

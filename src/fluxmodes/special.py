@@ -23,6 +23,16 @@ exactly.  Everything is done in log space: log-valued functions return the
 exact real part, while the imaginary part is meaningful modulo 2*pi only
 (enough to reconstruct values and ratios).  Plain value functions overflow for
 |z| beyond ~25 cell diameters; use the log forms there.
+
+The log-modulus kernels (log_abs_sin, chain_log_abs, star_log_abs,
+log_abs_sigma_tilde) are real valued end to end: a norm integrand needs only
+ln|psi|, so they evaluate no complex sine, complex log or phase.  With
+v = x + iy, ln|sin v| is 1/2 log(sin^2 x + sinh^2 |y|) for |y| < 20 and
+|y| - ln 2 + 1/2 log1p(e (e - 2 cos 2x)), e = exp(-2|y|), from |y| = 20 on,
+the same switch at which log_sin and cot drop exp(-2|y|).
+ln|sigma_tilde| takes the real parts of the quadratic and quasi-period terms
+of log sigma, ln|sin(pi u)| from log_abs_sin and 1/2 log|prod|^2 of the same
+theta product; the sign (-1)^(m1+m2+m1 m2) has modulus 1 and drops out.
 """
 
 from __future__ import annotations
@@ -36,7 +46,15 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 _LN_PI = math.log(math.pi)
+_LN_2 = math.log(2.0)
 _TWO_PI_I = 2j * math.pi
+_TINY = np.finfo(float).tiny
+_LEAST_SUBNORMAL = math.ulp(0.0)
+
+# |Im v| from which the sine kernels drop exp(-2 |Im v|) against 1: the
+# neglected terms of log_sin and _cot are below exp(-40), and log_abs_sin
+# switches to its form free of overflow (sinh^2 overflows beyond |Im v| ~ 355).
+_IM_SWITCH = 20.0
 
 # Series cutoffs.  The reduced nome obeys |q| <= exp(-pi*sqrt(3)) ~ 4.3e-3.
 # Theta product factors are kept while they can differ from 1 by more than
@@ -165,7 +183,7 @@ class _ReducedLattice:
     eta_a: complex
     eta_b: complex
     eta_unit: complex  # eta of period 1 for the unit lattice Z + tau Z
-    theta_coeffs: tuple  # (1 + q^(2n), q^(n-1)) per product factor, see _log_sigma_unit
+    theta_coeffs: tuple  # (1 + q^(2n), q^(n-1)) per product factor, see _theta_product
     log_theta_const: complex  # -2 sum_n log(1 - q^n) over the same factors
     coeff_a: tuple  # integer coords of (a, b) in the input basis
     coeff_b: tuple
@@ -239,13 +257,14 @@ def lattice_constants(basis: LatticeBasis) -> LatticeConstants:
 def log_sin(v) -> np.ndarray:
     """log(sin(v)) for complex v, stable for large |Im v|.
 
-    Real part exact; imaginary part modulo 2*pi.
+    Real part exact; imaginary part modulo 2*pi.  Callers that need only
+    the real part use log_abs_sin.
     """
     v = np.asarray(v, dtype=complex)
     scalar = v.ndim == 0
     v = np.atleast_1d(v)
     out = np.empty_like(v)
-    small = np.abs(v.imag) < 20.0
+    small = np.abs(v.imag) < _IM_SWITCH
     with np.errstate(divide="ignore", invalid="ignore"):
         out[small] = np.log(np.sin(v[small]))
     vb = v[~small]
@@ -254,13 +273,43 @@ def log_sin(v) -> np.ndarray:
         # sin v = s * exp(s i v) (1 - exp(-2 s i v)) / (2 i); the neglected
         # log1p argument is below exp(-40)
         ex = -np.exp(-2j * s * vb)
-        out[~small] = 1j * s * vb + ex - math.log(2.0) - 1j * s * (math.pi / 2.0)
+        out[~small] = 1j * s * vb + ex - _LN_2 - 1j * s * (math.pi / 2.0)
+    return out[0] if scalar else out
+
+
+def log_abs_sin(v) -> np.ndarray:
+    """ln|sin v| for complex v, real valued; -inf at the zeros of sin.
+
+    With v = x + iy: 1/2 log(sin^2 x + sinh^2 |y|) for |y| < 20, and
+    |y| - ln 2 + 1/2 log1p(e (e - 2 cos 2x)), e = exp(-2|y|), beyond.
+    Neither form evaluates a complex sine or log.
+    """
+    v = np.asarray(v, dtype=complex)
+    scalar = v.ndim == 0
+    if scalar:
+        v = v.reshape(1)
+    x = v.real
+    y = np.abs(v.imag)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # |sin v|^2 = sin^2 x + sinh^2 y: two positive terms, no cancellation
+        s = np.sin(x)
+        sh = np.sinh(y)
+        q = s * s + sh * sh
+        out = 0.5 * np.log(q)
+        if q.min(initial=1.0) < _TINY:  # |v| below 1e-154: the squares underflow
+            tiny = q < _TINY
+            out[tiny] = np.log(np.hypot(s[tiny], sh[tiny]))
+        if y.max(initial=0.0) >= _IM_SWITCH:
+            far = y >= _IM_SWITCH
+            yf = y[far]
+            e = np.exp(-2.0 * yf)
+            out[far] = yf - _LN_2 + 0.5 * np.log1p(e * (e - 2.0 * np.cos(2.0 * x[far])))
     return out[0] if scalar else out
 
 
 def _cot(v: np.ndarray) -> np.ndarray:
     out = np.empty_like(v)
-    small = np.abs(v.imag) < 20.0
+    small = np.abs(v.imag) < _IM_SWITCH
     with np.errstate(divide="ignore", invalid="ignore"):
         out[small] = np.cos(v[small]) / np.sin(v[small])
     vb = v[~small]
@@ -289,28 +338,34 @@ def _theta_exps(red: _ReducedLattice, u0: np.ndarray):
     return np.exp(_TWO_PI_I * (red.tau + u0)), np.exp(_TWO_PI_I * (red.tau - u0))
 
 
-def _log_sigma_unit(red: _ReducedLattice, u0: np.ndarray) -> np.ndarray:
-    # sigma(u) = exp(eta_unit u^2 / 2) sin(pi u)/pi *
-    #            prod_n (1 - q^n e^{2 pi i u})(1 - q^n e^{-2 pi i u}) / (1 - q^n)^2
-    # Each numerator pair multiplies out to a_n - b_n s, with the scalars
-    # a_n = 1 + q^(2n), b_n = q^(n-1) from theta_coeffs and
-    # s = q e^{2 pi i u} + q e^{-2 pi i u}: two exp() per point in all.
-    # u is in the reduced central cell, |Im u| <= Im tau / 2, so
-    # |q^n e^{+-2 pi i u}| <= |q|^(n - 1/2) <= 0.066.  Hence neither exp() can
-    # overflow however elongated the basis (terms that underflow are below
-    # rounding), and the product stays within 0.15 of 1 in log: one principal
-    # log of it has the branch of the sum of the factor logs.
+def _theta_product(red: _ReducedLattice, u0: np.ndarray) -> np.ndarray:
+    # prod_n (1 - q^n e^{2 pi i u})(1 - q^n e^{-2 pi i u}), the u-dependent
+    # factors of the sigma product (see _log_sigma_unit).  Each pair
+    # multiplies out to a_n - b_n s, with the scalars a_n = 1 + q^(2n),
+    # b_n = q^(n-1) from theta_coeffs and s = q e^{2 pi i u} + q e^{-2 pi i u}:
+    # two exp() per point in all.  u is in the reduced central cell,
+    # |Im u| <= Im tau / 2, so |q^n e^{+-2 pi i u}| <= |q|^(n - 1/2) <= 0.066.
+    # Hence neither exp() can overflow however elongated the basis (terms
+    # that underflow are below rounding), and the product stays within 0.15
+    # of 1 in log: one principal log of it has the branch of the sum of the
+    # factor logs.
     ep, em = _theta_exps(red, u0)
     s = ep + em
     prod = 1.0
     for a, b in red.theta_coeffs:
         prod = prod * (a - b * s)
+    return prod
+
+
+def _log_sigma_unit(red: _ReducedLattice, u0: np.ndarray) -> np.ndarray:
+    # sigma(u) = exp(eta_unit u^2 / 2) sin(pi u)/pi *
+    #            prod_n (1 - q^n e^{2 pi i u})(1 - q^n e^{-2 pi i u}) / (1 - q^n)^2
     return (
         0.5 * red.eta_unit * u0 * u0
         + log_sin(np.pi * u0)
         - _LN_PI
         + red.log_theta_const
-        + np.log(prod)
+        + np.log(_theta_product(red, u0))
     )
 
 
@@ -383,11 +438,27 @@ def sigma_tilde(basis: LatticeBasis, z) -> np.ndarray:
 
 
 def log_abs_sigma_tilde(basis: LatticeBasis, z) -> np.ndarray:
-    """ln |sigma_tilde(z)|; grows like mu |z|^2, -inf on the lattice."""
+    """ln |sigma_tilde(z)|; grows like mu |z|^2, -inf on the lattice.
+
+    The real part of log_sigma(z) - nu z^2, term by term: the sign term
+    (-1)^(m1+m2+m1*m2) has modulus 1 and drops out.
+    """
     red = _reduced(basis)
     z = _as_complex_array(z)
-    val = log_sigma(basis, z) - red.nu * z * z
-    return np.real(val)
+    scalar = z.ndim == 0
+    z = np.atleast_1d(z)
+    m1, m2, u0 = _cell_split(red, z)
+    lam = m1 * red.a + m2 * red.b
+    eta_lam = m1 * red.eta_a + m2 * red.eta_b
+    quad = 0.5 * red.eta_unit * u0 * u0 + eta_lam * (u0 * red.a + 0.5 * lam) - red.nu * z * z
+    prod = _theta_product(red, u0)
+    out = (
+        (math.log(abs(red.a)) + red.log_theta_const.real - _LN_PI)
+        + quad.real
+        + log_abs_sin(np.pi * u0)
+        + 0.5 * np.log(prod.real * prod.real + prod.imag * prod.imag)
+    )
+    return out[0] if scalar else out
 
 
 def sigma_tilde_dlog(basis: LatticeBasis, z) -> np.ndarray:
@@ -533,7 +604,7 @@ def chain_log_abs(omega0: float, kappa: complex, z) -> np.ndarray:
     if not (omega0 > 0):
         raise DomainError("chain period must be positive")
     z = _as_complex_array(z)
-    return np.real(log_sin(np.pi * (z - kappa) / omega0))
+    return log_abs_sin(np.pi * (z - kappa) / omega0)
 
 
 def chain_dlog(omega0: float, kappa: complex, z) -> np.ndarray:
@@ -556,8 +627,12 @@ def star_log_abs(order: int, z) -> np.ndarray:
     if order < 1:
         raise DomainError("star order must be a positive integer")
     z = _as_complex_array(z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.real(log_sin(math.pi * z**order)) - (order - 1) * np.log(np.abs(z))
+    out = log_abs_sin(math.pi * z**order)
+    if order > 1:
+        # |z| floored at the least subnormal, which changes no nonzero z: at
+        # the origin -inf - (N-1) log(floor) stays -inf instead of nan
+        out = out - (order - 1) * np.log(np.maximum(np.abs(z), _LEAST_SUBNORMAL))
+    return out
 
 
 def star_dlog(order: int, z) -> np.ndarray:

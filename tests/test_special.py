@@ -21,6 +21,7 @@ from fluxmodes.special import (
     chain_log_abs,
     lattice_constants,
     log_abs_sigma_tilde,
+    log_abs_sin,
     log_primary_factor,
     log_sigma,
     log_sin,
@@ -339,6 +340,15 @@ class TestChainsAndStars:
         near0 = star_log_abs(3, 1e-4) - math.log(1e-4)
         assert near0 == pytest.approx(math.log(math.pi), abs=1e-6)
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_star_origin_is_a_zero(self, order):
+        # -inf there, not -inf - (N-1)(-inf) = nan or 0 * (-inf) = nan
+        assert star_log_abs(order, 0.0) == -np.inf
+        got = star_log_abs(order, np.array([0.0, 1e-5, 0.5 + 0.5j]))
+        assert got[0] == -np.inf
+        assert got[1] == pytest.approx(math.log(math.pi) + math.log(1e-5), abs=1e-9)
+        assert np.isfinite(got[2])
+
     def test_sinc_sqrt(self):
         assert sinc_sqrt(0.0) == pytest.approx(1.0, rel=1e-15)
         w = 2.25  # sqrt = 1.5
@@ -347,6 +357,123 @@ class TestChainsAndStars:
         assert sinc_sqrt(-4.0) == pytest.approx(math.sinh(2.0) / 2.0, rel=1e-13)
         # smooth across the series/direct switch
         assert sinc_sqrt(1.0001e-4) == pytest.approx(sinc_sqrt(0.9999e-4), rel=1e-7)
+
+
+def _mp_log_abs_sin(v):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        return float(mp.log(abs(mp.sin(mp.mpc(v.real, v.imag)))))
+
+
+def _mp_log_abs_sigma_tilde(basis, z):
+    """ln |exp(-nu z^2) sigma(z)| from Jacobi theta functions (as in
+    _mpmath_sigma), with nu from the mpmath increments and the Legendre
+    relation, in log form so that |z| = 64 does not overflow."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        w1, w2 = mp.mpc(basis.omega1), mp.mpc(basis.omega2)
+        q = mp.exp(1j * mp.pi * w2 / w1)
+        d1 = mp.jtheta(1, 0, q, 1)
+        eta1 = -mp.pi**2 * mp.jtheta(1, 0, q, 3) / (3 * w1 * d1)
+        eta2 = (eta1 * w2 - 2j * mp.pi) / w1
+        nu = 0.25j * (eta1 * mp.conj(w2) - eta2 * mp.conj(w1)) / mp.im(mp.conj(w1) * w2)
+        zz = mp.mpc(z)
+        theta = mp.jtheta(1, mp.pi * zz / w1, q)
+        log_sigma = mp.log(w1 / mp.pi) + eta1 * zz**2 / (2 * w1) + mp.log(theta / d1)
+        return float(mp.re(log_sigma - nu * zz**2))
+
+
+class TestLogAbsSinReference:
+    """log_abs_sin against 30-digit mpmath at the evaluated doubles."""
+
+    def _check(self, v):
+        v = np.asarray(v, dtype=complex)
+        got = log_abs_sin(v)
+        for g, vi in zip(got, v):
+            ref = _mp_log_abs_sin(vi)
+            assert abs(g - ref) <= 1e-15 * max(1.0, abs(ref)), vi
+
+    def test_near_zeros_large_real_part(self):
+        ks = np.array([1, 7, 1000, 123457, 10**6, -999997])
+        offsets = np.array([1e-6, -3e-9, 1e-12j, 2e-7 + 5e-7j, -1e-6j])
+        self._check((ks[:, None] * math.pi + offsets[None, :]).ravel())
+
+    def test_both_sides_of_the_switch(self):
+        x = np.array([0.3, -2.2, 1e5 + 0.7])
+        y = np.array([19.5, 19.999999, 20.0, 20.000001, 20.5])
+        self._check((x[:, None] + 1j * np.concatenate([y, -y])[None, :]).ravel())
+
+    def test_far_imaginary_part_where_sinh_overflows(self):
+        v = np.array([0.1 + 800j, 0.1 - 800j, 1e5 + 800j, -3.0 - 800j])
+        got = log_abs_sin(v)
+        assert np.all(np.isfinite(got))
+        self._check(v)
+
+    def test_tiny_arguments(self):
+        # below 1e-154 the squares underflow; the value must not
+        self._check([1e-200, 1e-170j, 3e-160 + 4e-160j, 2e-308])
+
+    def test_exact_zeros(self):
+        assert log_abs_sin(0.0) == -np.inf
+        assert np.all(log_abs_sin(np.array([0.0, -0.0, 0j])) == -np.inf)
+        assert chain_log_abs(1.5, 0.25 + 0.5j, 0.25 + 0.5j) == -np.inf
+
+    def test_zero_dim_input_gives_a_scalar(self):
+        for v in (0.3 + 0.2j, np.array(0.3 + 0.2j), 0.1 + 800j):
+            got = log_abs_sin(v)
+            assert np.ndim(got) == 0 and isinstance(got, np.floating)
+            assert got == log_abs_sin(np.array([v]))[0]
+
+
+# bases for the sigma_tilde references: the side-2 lattice of the examples,
+# an elongated one (Im tau = 6) and the non-reduced skew basis
+SIGMA_TILDE_BASES = {
+    "square": SQUARE,
+    "side-2": LatticeBasis(2.0, 2.0j),
+    "elongated": LatticeBasis(1.0, 0.25 + 6.0j),
+    "skew": NON_SQUARE["skew"],
+}
+SITE_INDICES = [(0, 0), (1, 0), (0, 1), (3, -2), (-5, 4)]
+
+
+class TestLogAbsSigmaTildeReference:
+    """The real kernel against mpmath theta functions.
+
+    Near a site at distance d the cell reduction itself rounds u0 by about
+    eps |z|, which the kernel turns into eps |z| / d in ln|sigma_tilde|
+    whatever the method; the bound allows that on top of 1e-14 relative."""
+
+    @staticmethod
+    def _check(basis, z, distance):
+        got = log_abs_sigma_tilde(basis, np.asarray(z))
+        for g, zi in zip(got, z):
+            ref = _mp_log_abs_sigma_tilde(basis, zi)
+            tol = 1e-14 * max(1.0, abs(ref)) + 1e-15 * abs(zi) / distance
+            assert abs(g - ref) <= tol, zi
+
+    @pytest.mark.parametrize("name", sorted(SIGMA_TILDE_BASES))
+    def test_near_sites(self, name):
+        basis = SIGMA_TILDE_BASES[name]
+        sites = [m1 * basis.omega1 + m2 * basis.omega2 for m1, m2 in SITE_INDICES]
+        z = [s + 1e-8 * complex(math.cos(p), math.sin(p)) for s in sites for p in (0.3, 2.1)]
+        self._check(basis, z, 1e-8)
+
+    @pytest.mark.parametrize("name", sorted(SIGMA_TILDE_BASES))
+    def test_growth_reach(self, name):
+        # |z| = 64, the largest radius of the `special growth` command; each
+        # point lies over 0.03 from its nearest site
+        basis = SIGMA_TILDE_BASES[name]
+        z = [64.0 * complex(math.cos(p), math.sin(p)) for p in (0.1, 0.9, 2.0, 3.3, 4.4, 5.9)]
+        self._check(basis, z, 0.01)
+
+    @pytest.mark.parametrize("name", ["square", "side-2", "elongated"])
+    def test_minus_inf_on_sites(self, name):
+        # bases whose cell split of these sites is exact in binary
+        basis = SIGMA_TILDE_BASES[name]
+        m = np.arange(-3, 4)
+        sites = (m[:, None] * basis.omega1 + m[None, :] * basis.omega2).ravel()
+        assert np.all(log_abs_sigma_tilde(basis, sites) == -np.inf)
+        assert log_abs_sigma_tilde(basis, 0j) == -np.inf
 
 
 class TestLogSin:
