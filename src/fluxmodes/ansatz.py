@@ -513,6 +513,18 @@ class WaveFunction:
         return out
 
 
+def _nearby_nodes(v: np.ndarray, lo: float, hi: float, n: int, reach: float) -> np.ndarray:
+    """Indices (len(v), k) of the nodes of linspace(lo, hi, n) that may lie
+    within `reach` of each coordinate in v: the node it rounds to and one
+    more on each side (more where the nodes are closer than `reach`, all of
+    them where they coincide), clipped to the grid."""
+    if n == 1 or lo == hi:
+        return np.broadcast_to(np.arange(n), (len(v), n))
+    half = 1 + int(min(n, reach * (n - 1) / abs(hi - lo)))
+    near = np.rint(np.clip((v - lo) / (hi - lo) * (n - 1), 0, n - 1)).astype(np.intp)
+    return np.clip(near[:, None] + np.arange(-half, half + 1), 0, n - 1)
+
+
 def sample_grid(psi: WaveFunction, x_range, y_range, nx: int, ny: int) -> np.ndarray:
     """|psi| on a rectangular grid, rows tracking y; inf marks flux sites."""
     xs = np.linspace(x_range[0], x_range[1], nx)
@@ -530,12 +542,20 @@ def sample_grid(psi: WaveFunction, x_range, y_range, nx: int, ny: int) -> np.nda
         ring = p[:, None] + h[:, None] * np.array([1.0, 1j, -1.0, -1j])
         out[bad] = psi.magnitude(ring).mean(axis=1)
     # grid nodes that land on a site exactly: rounding in log space can
-    # miss the pole/zero (sin(pi*n) != 0 in floats), so snap them
-    reach = float(np.max(np.abs(zg))) + 1.0
-    for p, e in psi.singular_sites(reach):
-        hit = np.abs(zg - p) <= 1e-12 * max(1.0, abs(p))
-        if hit.any():
-            out[hit] = math.inf if e < 0.0 else 0.0
+    # miss the pole/zero (sin(pi*n) != 0 in floats), so snap them; only the
+    # nodes around the one each site rounds to can be that close
+    sites = psi.singular_sites(float(np.max(np.abs(zg))) + 1.0)
+    if sites:
+        p = np.array([q for q, _ in sites], dtype=complex)
+        tol = 1e-12 * np.maximum(1.0, np.hypot(p.real, p.imag))  # abs(p), rounded alike
+        row = _nearby_nodes(p.imag, y_range[0], y_range[1], ny, tol.max())
+        col = _nearby_nodes(p.real, x_range[0], x_range[1], nx, tol.max())
+        shape = (len(p), row.shape[1], col.shape[1])
+        rows, cols = np.broadcast_to(row[:, :, None], shape), np.broadcast_to(col[:, None, :], shape)
+        hit = np.abs(zg[rows, cols] - p[:, None, None]) <= tol[:, None, None]
+        expo = np.array([e for _, e in sites])[np.nonzero(hit)[0]]
+        # assigned in site order: a later site overwrites an earlier one
+        out[rows[hit], cols[hit]] = np.where(expo < 0.0, math.inf, 0.0)
     return out
 
 

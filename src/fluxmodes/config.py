@@ -492,29 +492,98 @@ def _distances(pos: np.ndarray, p: complex) -> np.ndarray:
     return np.hypot(pos.real - p.real, pos.imag - p.imag)
 
 
-_PAIRWISE_MAX = 64  # up to this many points a distance matrix beats a k-d tree
+_PAIRWISE_MAX = 64  # up to this many points every pair is measured at once
+# the minimum-gap search halves its first cells while one holds more points
+_CELL_POINTS = 32
+_BLOCK_POINTS = 1024  # points whose candidate pairs are measured together
+
+
+def _close_pairs(pos: np.ndarray, cell: float, limit: float):
+    """The most points in one cell, and blocks (i, j, d) of every pair of
+    points at most `limit` <= `cell` apart, each pair in one block once.
+
+    The points are binned in square cells of about side `cell`, sorted by
+    int64 cell key; each meets the later points of its own cell and the
+    points of its 4 forward neighbours (+1 in y; +1 in x and -1, 0, +1 in y),
+    two contiguous key ranges found with searchsorted.  d is
+    sqrt(dx*dx + dy*dy), the rounding of a distance matrix and of a k-d
+    tree.  The blocks are generated lazily, _BLOCK_POINTS points at a time.
+    """
+    x, y = pos.real, pos.imag
+    x0, y0 = x.min(), y.min()
+    span = max(x.max() - x0, y.max() - y0)
+    # widened so that two points at most `cell` apart never lie two cells
+    # apart: the rounding of d and of the cell coordinates is below
+    # (cell + span) * 2**-51, and a cell above span * 2**11 holds every point
+    side = cell + span * 2.0**-40
+    iy = ((y - y0) / side).astype(np.int64)
+    width = int(iy.max()) + 2  # row width - 1 stays empty: no key wraps into a neighbour column
+    key = ((x - x0) / side).astype(np.int64) * width + iy
+    order = np.argsort(key)
+    key = key[order]
+    crowd = int(np.diff(np.flatnonzero(np.diff(key, prepend=-1, append=-1))).max())  # fullest cell
+
+    def blocks():
+        xs, ys = x[order], y[order]
+        for lo in range(0, len(key), _BLOCK_POINTS):
+            k = key[lo : lo + _BLOCK_POINTS]
+            rank = np.arange(lo, lo + len(k))
+            starts = np.concatenate([rank + 1, np.searchsorted(key, k + width - 1)])
+            stops = np.concatenate([np.searchsorted(key, k + 2), np.searchsorted(key, k + width + 2)])
+            counts = stops - starts
+            a = np.repeat(np.tile(rank, 2), counts)
+            b = np.arange(len(a)) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+            dx, dy = xs[a] - xs[b], ys[a] - ys[b]
+            d = np.sqrt(dx * dx + dy * dy)
+            keep = d <= limit
+            yield order[a[keep]], order[b[keep]], d[keep]
+
+    return crowd, blocks()
+
+
+def _min_gap(blocks, bound: float) -> tuple[float, np.ndarray]:
+    """Smallest d below `bound` in the (i, j, d) blocks (inf if none), and
+    the indices of the points in pairs closer than COINCIDENCE_TOL."""
+    gap, close = math.inf, [np.empty(0, dtype=np.intp)]
+    for i, j, d in blocks:
+        gap = min(gap, float(d.min(initial=math.inf, where=d < bound)))
+        hit = d < COINCIDENCE_TOL
+        close += [i[hit], j[hit]]
+    return gap, np.unique(np.concatenate(close))
 
 
 def _apart(pos: np.ndarray, msg: str, bound: float) -> float:
     """Minimum pairwise gap of the points, inf if no gap is below `bound`.
     Raises naming a point closer than COINCIDENCE_TOL to another."""
-    if len(pos) < 2:
-        return math.inf
-    if len(pos) <= _PAIRWISE_MAX:
-        d = pos[:, None] - pos
-        d = np.sqrt(d.real * d.real + d.imag * d.imag)  # the k-d tree's rounding
-        d.flat[:: len(pos) + 1] = math.inf
-        d[d >= bound] = math.inf
-        gaps = d.min(axis=1)
+    n = len(pos)
+    if n <= _PAIRWISE_MAX:
+        i, j = np.triu_indices(n, 1)
+        dz = pos[i] - pos[j]
+        gap, close = _min_gap([(i, j, np.sqrt(dz.real * dz.real + dz.imag * dz.imag))], bound)
     else:
-        from scipy.spatial import cKDTree
-
-        xy = np.column_stack([pos.real, pos.imag])
-        gaps = cKDTree(xy, balanced_tree=False).query(xy, k=2, distance_upper_bound=bound)[0][:, 1]
-    dup = pos[gaps < COINCIDENCE_TOL]
-    if dup.size:
+        w, h = float(np.ptp(pos.real)), float(np.ptp(pos.imag))
+        floor = max(w, h) * 2.0**-30  # the smallest cell whose int64 keys cannot overflow
+        if bound < math.inf:
+            # cells as small as the keys allow: a star's rays are far denser than its mean
+            gap, close = _min_gap(_close_pairs(pos, max(bound, floor), bound)[1], bound)
+        else:
+            # from the mean spacing (over the bounding box, or along it for a
+            # chain), halved while a cell is crowded, the cell doubles until a
+            # pair lies within it; the pairs then include the closest one
+            floor = max(floor, COINCIDENCE_TOL)  # so every coincidence is a pair
+            cell = max(math.sqrt(w * h / n), max(w, h) / n, floor)
+            crowd, blocks = _close_pairs(pos, cell, cell)
+            while crowd > _CELL_POINTS and cell > floor:
+                cell = max(0.5 * cell, floor)
+                crowd, blocks = _close_pairs(pos, cell, cell)
+            gap, close = _min_gap(blocks, bound)
+            while gap == math.inf:
+                cell *= 2.0
+                gap, close = _min_gap(_close_pairs(pos, cell, cell)[1], bound)
+    if close.size:
+        dup = pos[close]
         raise ConfigError(f"{msg}: duplicate site at {dup[np.lexsort((dup.imag, dup.real))[0]]}")
-    return float(gaps.min())
+    return gap
 
 
 def _sites(config: FluxConfiguration, r_max: float, gap: bool = False):

@@ -46,6 +46,8 @@ from .config import (
     set_stats,
     uniformly_discrete,
 )
+from .special import log_abs_sigma_tilde
+from .verify import growth_estimate
 
 SPIN_PLUS = "+"
 SPIN_MINUS = "-"
@@ -356,9 +358,6 @@ def _signed_sum_bounded(stats: SetStats) -> bool:
 def _b0_threshold_estimate(config: FluxConfiguration) -> float:
     """4 * sum of c_j (1 - theta_j) with c_j the order-2 type of the j-th
     canonical product, estimated from circle maxima of its log modulus."""
-    from .special import log_abs_sigma_tilde  # local import keeps startup light
-    from .verify import growth_estimate
-
     threshold = 0.0
     for lat in config.lattices:
         def log_w(z, _basis=lat.basis):

@@ -42,6 +42,8 @@ first candidate with tail error + quadrature error <= max(abs_tol,
 rel_tol * value) is Convergent, reporting exactly that value and that error.
 Growth by factor >= DIVERGENCE_RATIO across two consecutive doublings flags
 divergence, without the site discs once the bulk alone shows it.
+The Gauss rules come from scipy, imported when the first rule is built:
+importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .special import ConsistencyError, DomainError
 
@@ -213,32 +214,47 @@ class _Integrand:
         return out
 
 
-def _tensor_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(radial nodes, angular nodes, weights) of the n x n Gauss-Legendre rule."""
-    x, w = roots_legendre(n)
-    return np.repeat(x, n), np.tile(x, n), np.outer(w, w).ravel()
+@functools.cache
+def _gauss_rule(n: int, beta: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (nodes, weights) on [-1, 1] of the n-point Gauss-Legendre
+    rule, or with `beta` of Gauss-Jacobi for the weight (1 + x)**beta.
+    scipy is imported on the first call, so only the quadrature loads it."""
+    from scipy.special import roots_jacobi, roots_legendre
+
+    rule = roots_legendre(n) if beta is None else roots_jacobi(n, 0.0, beta)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
-# one node array per box: the 6x6 rule's 36 nodes, then the 4x4 rule's 16
-(_R6, _P6, _W6), (_R4, _P4, _W4) = _tensor_rule(6), _tensor_rule(4)
-_NODE_R, _NODE_P = np.concatenate([_R6, _R4]), np.concatenate([_P6, _P4])
+@functools.cache
+def _bulk_rule() -> tuple[np.ndarray, ...]:
+    """(radial nodes, angular nodes, 6x6 weights, 4x4 weights) of one box:
+    the 6x6 Gauss-Legendre rule's 36 nodes, then the 4x4 rule's 16."""
+    (x6, w6), (x4, w4) = _gauss_rule(6), _gauss_rule(4)
+    node_r = np.concatenate([np.repeat(x6, 6), np.repeat(x4, 4)])
+    node_p = np.concatenate([np.tile(x6, 6), np.tile(x4, 4)])
+    return node_r, node_p, np.outer(w6, w6).ravel(), np.outer(w4, w4).ravel()
+
+
 # boxes per integrand call: about _CHUNK_POINTS points, few enough that the
 # bulk does not raise the process's memory high-water mark
-_CHUNK_BOXES = _CHUNK_POINTS // _NODE_R.size
+_CHUNK_BOXES = _CHUNK_POINTS // (6 * 6 + 4 * 4)
 
 
 def _panel_values(F: _Integrand, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre 6x6 values of polar boxes (rows r0, r1, p0, p1) and
     their error indicators |6x6 - 4x4|, evaluated in chunks of boxes."""
+    node_r, node_p, w6, w4 = _bulk_rule()
     v6 = np.empty(len(boxes))
     v4 = np.empty(len(boxes))
     for s in range(0, len(boxes), _CHUNK_BOXES):
         r0, r1, p0, p1 = boxes[s : s + _CHUNK_BOXES].T
         rh, ph = 0.5 * (r1 - r0), 0.5 * (p1 - p0)
-        r = 0.5 * (r1 + r0)[:, None] + rh[:, None] * _NODE_R
-        vals = F(r * np.exp(1j * (0.5 * (p1 + p0)[:, None] + ph[:, None] * _NODE_P))) * r
-        v6[s : s + len(r)] = rh * ph * (vals[:, :36] @ _W6)
-        v4[s : s + len(r)] = rh * ph * (vals[:, 36:] @ _W4)
+        r = 0.5 * (r1 + r0)[:, None] + rh[:, None] * node_r
+        vals = F(r * np.exp(1j * (0.5 * (p1 + p0)[:, None] + ph[:, None] * node_p))) * r
+        v6[s : s + len(r)] = rh * ph * (vals[:, :36] @ w6)
+        v4[s : s + len(r)] = rh * ph * (vals[:, 36:] @ w4)
     return v6, np.abs(v6 - v4)
 
 
@@ -296,9 +312,9 @@ def _disc_rules(beta: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     a, b = _BUMP_LO, _BUMP_HI
     rules = []
     for n_core, n_ramp in (_DISC_ROWS, _DISC_ROWS_COARSE):
-        x, w = roots_jacobi(n_core, 0.0, beta)
+        x, w = _gauss_rule(n_core, beta)
         core = (a * (x + 1.0) / 2.0, w * (a / 2.0) ** (beta + 1.0))
-        x, w = roots_legendre(n_ramp)
+        x, w = _gauss_rule(n_ramp)
         u = (x + 1.0) / 2.0
         t = a + (b - a) * u
         ramp = (t, w * (b - a) / 2.0 * t**beta * (1.0 - _smooth_rise(u)))
@@ -662,7 +678,7 @@ def loop_flux(a: Callable, rectangle: tuple[float, float, float, float], samples
                 raise DomainError("rectangle boundary passes too close to a flux site")
 
     panels = max(4, samples_per_side // 8)
-    x_nodes, w = roots_legendre(8)
+    x_nodes, w = _gauss_rule(8)
 
     def side(start: complex, stop: complex, take) -> float:
         acc = 0.0

@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -544,6 +547,45 @@ def test_grid_writes_artifacts(tmp_path, capsys):
     report = json.loads((out_dir / "grid.json").read_text())
     assert report["verdict"]["theorem"] == "Thm 6.1"
     assert report["resolution"] == [4, 4]
+
+
+SCIPY_FREE = """
+import contextlib, io, json, sys
+from fluxmodes.cli import main
+config = sys.argv[1]
+calls = [
+    ["decide", config, "--spin", "+"],
+    ["grid", config, "--spin", "+", "--resolution", "21", "21"],
+    ["special", "constants", "--omega1", "1,0", "--omega2", "0,1"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in calls]
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes.append(main(["verify", config, "--spin", "+", "--tol-rel", "1e-2"]))
+print(json.dumps({"codes": codes, "loaded": loaded, "status": json.loads(out.getvalue())["status"]}))
+"""
+
+
+def test_decide_grid_special_load_no_scipy(tmp_path):
+    # only the quadrature needs scipy: decide and grid on a lattice (more
+    # sites than the pairwise gap path takes) and the special kernels load
+    # none of it in a fresh process, and a verify afterwards still passes
+    lattice = {
+        "lattices": [
+            {"omega1": [2.0, 0.0], "omega2": [0.0, 2.0], "offsets": [{"kappa": [0.0, 0.0], "theta": 0.5}]}
+        ]
+    }
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE, write(tmp_path, lattice)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc == {"codes": [0, 0, 0, 0], "loaded": [], "status": "PASS"}
 
 
 def test_config_round_trip():

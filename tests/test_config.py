@@ -371,6 +371,120 @@ class TestSupportOracle:
             assert _bits(gap) == _bits(_ref_gap(cfg, 20.0))
 
 
+def _tree_apart(pos, msg, bound):
+    """The minimum gap and duplicate check by a k-d tree: per point, its
+    nearest neighbour below `bound`."""
+    from scipy.spatial import cKDTree
+
+    xy = np.column_stack([pos.real, pos.imag])
+    gaps = cKDTree(xy).query(xy, k=2, distance_upper_bound=bound)[0][:, 1]
+    dup = pos[gaps < config_module.COINCIDENCE_TOL]
+    if dup.size:
+        raise ConfigError(f"{msg}: duplicate site at {dup[np.lexsort((dup.imag, dup.real))[0]]}")
+    return float(gaps.min())
+
+
+def _apart_outcome(apart, pos, bound):
+    try:
+        return "gap", _bits(apart(pos, "overlap", bound))
+    except ConfigError as exc:
+        return "duplicate", str(exc)
+
+
+def _grid_points(w1, w2, r, offset=0j):
+    m = np.arange(-int(3 * r / min(abs(w1), abs(w2))) - 2, int(3 * r / min(abs(w1), abs(w2))) + 3)
+    pts = (offset + m[:, None] * w1 + m[None, :] * w2).ravel()
+    return pts[np.abs(pts) <= r]
+
+
+def _gap_sets():
+    rng = np.random.default_rng(13)
+    square = _grid_points(1.0, 1j, 12.0)
+    oblique = np.concatenate([_grid_points(1.1, 0.35 + 0.95j, 9.0), _grid_points(1.1, 0.35 + 0.95j, 9.0, 0.41 + 0.37j)])
+    diagonal = np.arange(-150, 150) * 0.1 * cmath.exp(0.7j)
+    centres = rng.uniform(-20, 20, 6) + 1j * rng.uniform(-20, 20, 6)
+    # an 11 x 11 grid of step 0.5 with 21 inner nodes dropped: 100 points in a
+    # 5 x 5 box, so the first cell of the gap search is the step, exactly
+    keep = np.ones(121, bool)
+    keep[rng.choice([k for k in range(121) if k not in (0, 10, 110, 120)], 21, replace=False)] = False
+    one_cell = (np.arange(11)[:, None] * 0.5 + 1j * np.arange(11)[None, :] * 0.5).ravel()[keep]
+    return {
+        "square-lattice": square,
+        "oblique-lattice": oblique,
+        "horizontal-chain": np.arange(200) * 0.37 + 0.25j,
+        "vertical-chain": 1.5 + 1j * np.arange(-100, 100) * 0.61,
+        "diagonal-chain": diagonal,
+        "chain-across-lattice": np.concatenate([square, diagonal * math.sqrt(2) + 0.3]),
+        "clusters": centres[rng.integers(0, 6, 400)] + (rng.normal(size=400) + 1j * rng.normal(size=400)) * 0.05,
+        "one-cell-apart": one_cell,
+        "few": rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40),
+    }
+
+
+GAP_SETS = _gap_sets()
+
+
+class TestCellSearchOracle:
+    """_close_pairs and _apart against a distance matrix and a k-d tree."""
+
+    @staticmethod
+    def _pairs(pos, cell, limit):
+        i, j, d = (np.concatenate(col) for col in zip(*config_module._close_pairs(pos, cell, limit)[1]))
+        return sorted(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist(), d.tolist()))
+
+    @staticmethod
+    def _matrix_pairs(pos, limit):
+        d = pos[:, None] - pos
+        d = np.sqrt(d.real * d.real + d.imag * d.imag)
+        i, j = np.nonzero(np.triu(d <= limit, 1))
+        return sorted(zip(i.tolist(), j.tolist(), d[i, j].tolist()))
+
+    @pytest.mark.parametrize("name", sorted(GAP_SETS))
+    @pytest.mark.parametrize("cell, share", [(0.5, 1.0), (0.5, 0.6), (1.0, 1.0), (3.0, 1.0)])
+    def test_close_pairs_match_matrix(self, name, cell, share):
+        pos = GAP_SETS[name]
+        assert self._pairs(pos, cell, share * cell) == self._matrix_pairs(pos, share * cell)
+
+    @pytest.mark.parametrize("step", [0.7, 1.3])
+    def test_close_pairs_one_cell_apart(self, step):
+        # neighbours exactly one cell apart whose cell coordinates round to
+        # two cells apart: the widened cell side keeps them in adjacent cells
+        pos = -step + step * np.arange(12) + 0j
+        pairs = self._pairs(pos, step, step)
+        assert pairs == self._matrix_pairs(pos, step)
+        assert any(d == step for _, _, d in pairs)
+
+    @pytest.mark.parametrize("name", sorted(GAP_SETS))
+    @pytest.mark.parametrize("bound", [config_module.COINCIDENCE_TOL, math.inf], ids=["bounded", "gap"])
+    def test_apart_matches_tree(self, name, bound):
+        pos = GAP_SETS[name]
+        expect = _apart_outcome(_tree_apart, pos, bound)
+        assert _apart_outcome(config_module._apart, pos, bound) == expect
+        assert expect[0] == "gap"
+
+    @pytest.mark.parametrize("name", sorted(GAP_SETS))
+    @pytest.mark.parametrize("eps", [1e-12, 0.999999999e-9])
+    @pytest.mark.parametrize("bound", [config_module.COINCIDENCE_TOL, math.inf], ids=["bounded", "gap"])
+    def test_apart_names_the_tree_duplicate(self, name, eps, bound):
+        pos = GAP_SETS[name]
+        rng = np.random.default_rng(len(pos))
+        k = rng.choice(len(pos), 4, replace=False)
+        near = np.concatenate([pos, pos[k] + eps * np.exp(1j * rng.uniform(0, 2 * math.pi, 4))])
+        expect = _apart_outcome(_tree_apart, near, bound)
+        assert expect[0] == "duplicate"
+        assert _apart_outcome(config_module._apart, near, bound) == expect
+
+    def test_duplicate_across_cell_edges_at_a_binade(self):
+        # a pair 1e-9 - 5e-21 apart whose cell coordinates, near 2**28 cells,
+        # round to cells two apart unless the side is widened by span * 2**-40
+        x0, xa, xb = -0.26840445255377143, 3.100271466405233e-05, 3.1003714664052324e-05
+        pos = np.concatenate([np.linspace(x0, 0.75, 70), [xa, xb]]) + 0j
+        for bound in (config_module.COINCIDENCE_TOL, math.inf):
+            expect = _apart_outcome(_tree_apart, pos, bound)
+            assert expect == ("duplicate", "overlap: duplicate site at (3.100271466405233e-05+0j)")
+            assert _apart_outcome(config_module._apart, pos, bound) == expect
+
+
 class TestSetStats:
     def test_integer_line(self):
         pts = np.arange(-100, 101).astype(complex)
