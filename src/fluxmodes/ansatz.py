@@ -25,8 +25,8 @@ from `config` (`unsorted_support`, `line_groups`), which `decide` consults
 too; zero sets only evaluate.
 
 Wave functions expose log-magnitude, pointwise values, the matching vector
-potential and the list of fractional local exponents, which is the protocol
-the quadrature certifier consumes.
+potential and their singular sites with fractional local exponents, as
+arrays (`verify.Sites`): the protocol the quadrature certifier consumes.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .config import (
     COINCIDENCE_TOL,
     ConfigError,
     FluxConfiguration,
+    Support,
     enumerate_support,
     has_nonparallel,
     line_groups,
@@ -63,12 +64,19 @@ from .special import (
     star_dlog,
     star_log_abs,
 )
-from .verify import DecayHint
+from .verify import DecayHint, Sites
 
 _EXISTS = ("ExistsFinite", "ExistsInfinite")
 # how near a point's reduced coordinate must lie to a zero of the entire
-# factor for zero_order_at to count that zero
+# factor for zero_orders to count that zero
 _ZERO_ORDER_TOL = 1e-7
+
+
+def _near_multiple(a: np.ndarray, step: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """(k, near): the integer k nearest each a / step, and whether a lies
+    within _ZERO_ORDER_TOL of k * step."""
+    k = np.round(a / step)
+    return k, np.abs(a - step * k) <= _ZERO_ORDER_TOL
 
 
 class NoModesError(ValueError):
@@ -83,10 +91,10 @@ def _cplx(z) -> np.ndarray:
 # zero sets
 #
 # Each class is an entire function W vanishing simply on one component's
-# sites.  It provides ln|W|, W, W'/W and the zero order at a point; the
-# sites themselves are listed by `config`.  A term (W, w) of phi contributes
-# w*ln|W(z)| to phi and i*w*conj(W'/W) to a_x + i a_y, so a = sgrad phi
-# holds term by term.
+# sites.  It provides ln|W|, W, W'/W and its zero orders at an array of
+# points; the sites themselves are listed by `config`.  A term (W, w) of phi
+# contributes w*ln|W(z)| to phi and i*w*conj(W'/W) to a_x + i a_y, so
+# a = sgrad phi holds term by term.
 
 
 @dataclass(frozen=True)
@@ -106,8 +114,9 @@ class PointZeros:
         with np.errstate(divide="ignore", invalid="ignore"):
             return 1.0 / (z - self.position)
 
-    def zero_order_at(self, p: complex) -> int:
-        return 1 if abs(p - self.position) <= COINCIDENCE_TOL else 0
+    def zero_orders(self, pos: np.ndarray) -> np.ndarray:
+        d = pos - self.position
+        return (np.hypot(d.real, d.imag) <= COINCIDENCE_TOL).astype(int)
 
 
 @dataclass(frozen=True)
@@ -136,9 +145,9 @@ class SinZeros:
         per, k2, d, w = self._rotated(z)
         return chain_dlog(per, k2, w) / d
 
-    def zero_order_at(self, p: complex) -> int:
-        u = (complex(p) - self.kappa) / self.omega0
-        return 1 if abs(u.imag) <= _ZERO_ORDER_TOL and abs(u.real - round(u.real)) <= _ZERO_ORDER_TOL else 0
+    def zero_orders(self, pos: np.ndarray) -> np.ndarray:
+        u = (pos - self.kappa) / self.omega0
+        return ((np.abs(u.imag) <= _ZERO_ORDER_TOL) & _near_multiple(u.real)[1]).astype(int)
 
 
 @dataclass(frozen=True)
@@ -157,13 +166,13 @@ class SigmaZeros:
     def dlog(self, z: np.ndarray) -> np.ndarray:
         return sigma_tilde_dlog(self.basis, z - self.kappa)
 
-    def zero_order_at(self, p: complex) -> int:
+    def zero_orders(self, pos: np.ndarray) -> np.ndarray:
         w1, w2 = self.basis.omega1, self.basis.omega2
         s = np.imag(np.conj(w1) * w2)
-        d = complex(p) - self.kappa
+        d = pos - self.kappa
         t1 = np.imag(np.conj(d) * w2) / s
         t2 = np.imag(np.conj(w1) * d) / s
-        return 1 if abs(t1 - round(t1)) <= _ZERO_ORDER_TOL and abs(t2 - round(t2)) <= _ZERO_ORDER_TOL else 0
+        return (_near_multiple(t1)[1] & _near_multiple(t2)[1]).astype(int)
 
 
 @dataclass(frozen=True)
@@ -185,12 +194,11 @@ class StarZeros:
     def dlog(self, z: np.ndarray) -> np.ndarray:
         return star_dlog(self.order, z / self.scale) / self.scale
 
-    def zero_order_at(self, p: complex) -> int:
-        w = complex(p) / self.scale
-        if abs(w) <= COINCIDENCE_TOL:
-            return 1
+    def zero_orders(self, pos: np.ndarray) -> np.ndarray:
+        w = pos / self.scale
         u = w**self.order
-        return 1 if abs(u.imag) <= _ZERO_ORDER_TOL and abs(u.real - round(u.real)) <= _ZERO_ORDER_TOL else 0
+        origin = np.hypot(w.real, w.imag) <= COINCIDENCE_TOL
+        return (origin | ((np.abs(u.imag) <= _ZERO_ORDER_TOL) & _near_multiple(u.real)[1])).astype(int)
 
 
 def _uniform_phi(xi0: float, z: np.ndarray) -> np.ndarray:
@@ -214,10 +222,9 @@ class ScalarPotential:
             out = out + w * zeros.log_abs(z)
         return out
 
-    def singular_sites(self, r: float) -> list[tuple[complex, float]]:
-        """(position, flux) of every flux site with |position| <= r."""
-        sites = unsorted_support(self.config, r)
-        return list(zip(sites.pos.tolist(), sites.theta.tolist()))
+    def singular_sites(self, r: float) -> Support:
+        """Every flux site with |position| <= r: positions and fluxes."""
+        return unsorted_support(self.config, r)
 
 
 class VectorPotential:
@@ -240,7 +247,7 @@ class VectorPotential:
         a = self(z)
         return np.real(a), np.imag(a)
 
-    def singular_sites(self, r: float) -> list[tuple[complex, float]]:
+    def singular_sites(self, r: float) -> Support:
         return self._phi.singular_sites(r)
 
 
@@ -293,7 +300,7 @@ def build_vector_potential(phi: ScalarPotential) -> VectorPotential:
 #
 # A factor is a tuple of (piece, integer power).  Its pieces are zero sets
 # or the entire functions below, which are never phi terms.  Pieces provide
-# values, log moduli and the zero order at a prescribed point, which fixes
+# values, log moduli and their zero orders at an array of points, which fix
 # the local exponent bookkeeping at flux sites.
 
 
@@ -310,8 +317,8 @@ class Monomial:
     def value(self, z: np.ndarray) -> np.ndarray:
         return z**self.k
 
-    def zero_order_at(self, p: complex) -> int:
-        return self.k if abs(p) <= COINCIDENCE_TOL else 0
+    def zero_orders(self, pos: np.ndarray) -> np.ndarray:
+        return np.where(np.hypot(pos.real, pos.imag) <= COINCIDENCE_TOL, self.k, 0)
 
 
 @dataclass(frozen=True)
@@ -338,12 +345,10 @@ class SincLine:
             out = np.where(small, self.alpha, np.sin(self.alpha * np.where(small, 1.0, w)) / np.where(small, 1.0, w))
         return out
 
-    def zero_order_at(self, p: complex) -> int:
-        w = complex(self._w(_cplx(p)))
-        if abs(w.imag) > _ZERO_ORDER_TOL:
-            return 0
-        k = round(self.alpha * w.real / math.pi)
-        return 1 if k != 0 and abs(self.alpha * w.real - math.pi * k) <= _ZERO_ORDER_TOL else 0
+    def zero_orders(self, pos: np.ndarray) -> np.ndarray:
+        w = self._w(pos)
+        k, near = _near_multiple(self.alpha * w.real, math.pi)
+        return ((np.abs(w.imag) <= _ZERO_ORDER_TOL) & (k != 0) & near).astype(int)
 
 
 @dataclass(frozen=True)
@@ -369,12 +374,11 @@ class StarSinc:
             out = np.where(small, self.alpha, np.sin(self.alpha * np.where(small, 1.0, u)) / np.where(small, 1.0, u))
         return out
 
-    def zero_order_at(self, p: complex) -> int:
-        u = (complex(p) / self.scale) ** self.order
-        if abs(u) <= COINCIDENCE_TOL or abs(u.imag) > _ZERO_ORDER_TOL:
-            return 0
-        k = round(self.alpha * u.real / math.pi)
-        return 1 if k != 0 and abs(self.alpha * u.real - math.pi * k) <= _ZERO_ORDER_TOL else 0
+    def zero_orders(self, pos: np.ndarray) -> np.ndarray:
+        u = (pos / self.scale) ** self.order
+        k, near = _near_multiple(self.alpha * u.real, math.pi)
+        origin = np.hypot(u.real, u.imag) <= COINCIDENCE_TOL
+        return (~origin & (np.abs(u.imag) <= _ZERO_ORDER_TOL) & (k != 0) & near).astype(int)
 
 
 def _log_abs_sinc_sqrt(u: np.ndarray) -> np.ndarray:
@@ -424,15 +428,15 @@ class ExoticSinc:
         den = sinc_sqrt(math.pi * u) * sinc_sqrt(-math.pi * u)
         return (1j / math.pi) * num / den
 
-    def zero_order_at(self, p: complex) -> int:
-        w = complex(self._w(_cplx(p)))
-        if abs(w.imag) > _ZERO_ORDER_TOL:
-            return 0
-        k = round(self.alpha * w.real / math.pi)
-        if k == 0 or abs(self.alpha * w.real - math.pi * k) > _ZERO_ORDER_TOL:
-            return 0
-        root = math.isqrt(abs(k))
-        return 0 if root * root == abs(k) else 1
+    def zero_orders(self, pos: np.ndarray) -> np.ndarray:
+        w = self._w(pos)
+        k, near = _near_multiple(self.alpha * w.real, math.pi)
+        # no zero where k = m^2: at k = 0 the sinc is 1, elsewhere a zero of
+        # S(+-pi alpha w) in the denominator cancels that of sin(alpha w); the
+        # rounded root is exact for the site indices that occur
+        root = np.rint(np.sqrt(np.abs(k)))
+        square = root * root == np.abs(k)
+        return ((np.abs(w.imag) <= _ZERO_ORDER_TOL) & near & ~square).astype(int)
 
 
 def _factor_value(factor: tuple, z: np.ndarray) -> np.ndarray:
@@ -501,16 +505,14 @@ class WaveFunction:
     def vector_potential(self, z) -> np.ndarray:
         return self.field(z)
 
-    def singular_sites(self, r: float) -> list[tuple[complex, float]]:
-        out = []
-        for p, w in self.potential.singular_sites(r):
-            e = self._sign * w
-            for piece, power in self.factor:
-                if power:
-                    e += power * piece.zero_order_at(p)
-            if abs(e - round(e)) > COINCIDENCE_TOL:
-                out.append((p, e))
-        return out
+    def singular_sites(self, r: float) -> Sites:
+        sites = self.potential.singular_sites(r)
+        e = self._sign * sites.theta
+        for piece, power in self.factor:
+            if power:
+                e += power * piece.zero_orders(sites.pos)
+        frac = np.abs(e - np.round(e)) > COINCIDENCE_TOL
+        return Sites(sites.pos[frac], e[frac])
 
 
 def _nearby_nodes(v: np.ndarray, lo: float, hi: float, n: int, reach: float) -> np.ndarray:
@@ -545,15 +547,15 @@ def sample_grid(psi: WaveFunction, x_range, y_range, nx: int, ny: int) -> np.nda
     # miss the pole/zero (sin(pi*n) != 0 in floats), so snap them; only the
     # nodes around the one each site rounds to can be that close
     sites = psi.singular_sites(float(np.max(np.abs(zg))) + 1.0)
-    if sites:
-        p = np.array([q for q, _ in sites], dtype=complex)
+    if sites.pos.size:
+        p = sites.pos
         tol = 1e-12 * np.maximum(1.0, np.hypot(p.real, p.imag))  # abs(p), rounded alike
         row = _nearby_nodes(p.imag, y_range[0], y_range[1], ny, tol.max())
         col = _nearby_nodes(p.real, x_range[0], x_range[1], nx, tol.max())
         shape = (len(p), row.shape[1], col.shape[1])
         rows, cols = np.broadcast_to(row[:, :, None], shape), np.broadcast_to(col[:, None, :], shape)
         hit = np.abs(zg[rows, cols] - p[:, None, None]) <= tol[:, None, None]
-        expo = np.array([e for _, e in sites])[np.nonzero(hit)[0]]
+        expo = sites.expo[np.nonzero(hit)[0]]
         # assigned in site order: a later site overwrites an earlier one
         out[rows[hit], cols[hit]] = np.where(expo < 0.0, math.inf, 0.0)
     return out
@@ -648,7 +650,8 @@ def _monomial_members(count, kind, rate_fn, extra: tuple = ()):
 
 
 def _finite_recipe(config: FluxConfiguration, verdict: ZeroModeVerdict, count: int) -> _Recipe:
-    total = sum(w for _, w in build_scalar_potential(config).singular_sites(math.inf))
+    # summed left to right in site order: np.sum's pairwise order moves the last bits
+    total = sum(build_scalar_potential(config).singular_sites(math.inf).theta.tolist())
     mult = verdict.multiplicity if verdict.multiplicity is not None else count
     notice = ""
     if count > mult:
@@ -942,10 +945,7 @@ def build_divergence_candidate(
     elif config.chains or config.star is not None:
         hint = DecayHint("ring", 0.0)
     else:
-        sites = phi.singular_sites(math.inf)
-        if verdict.spin == "+":
-            rate = sum(w for _, w in sites)
-        else:
-            rate = sum(1.0 - w for _, w in sites)
+        theta = phi.singular_sites(math.inf).theta
+        rate = sum((theta if verdict.spin == "+" else 1.0 - theta).tolist())
         hint = DecayHint("power", rate)
     return WaveFunction(verdict.spin, phi, a_field, factor, hint, label="divergence-candidate")

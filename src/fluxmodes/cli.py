@@ -155,7 +155,7 @@ def _emit_report(report: dict, manifest: RunManifest, filename: str) -> None:
 
 def _auto_probe(psi, clearance: float) -> ProbeRegion:
     """Annulus on a fixed search grid, maximizing distance to singular sites."""
-    sites = np.array([p for p, _ in psi.singular_sites(12.0)], dtype=complex)
+    sites = psi.singular_sites(12.0).pos
     xs, ys = np.linspace(-3.075, 3.075, 21), np.linspace(-3.05, 3.05, 21)
     # x-major: of tied centres, argmax takes the first in this order
     x, y = np.repeat(xs, ys.size), np.tile(ys, xs.size)

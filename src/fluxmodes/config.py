@@ -609,10 +609,12 @@ def _sites(config: FluxConfiguration, r_max: float, gap: bool = False):
         for p, _ in added:
             if (_distances(pos, p) < COINCIDENCE_TOL).any():
                 raise ConfigError(f"added point {p} collides with a regular site")
-        pos = np.append(pos, [p for p, _ in added])
+        extra = np.array([p for p, _ in added], dtype=complex)
+        pos = np.append(pos, extra)
         theta = np.append(theta, [t for _, t in added])
-        # only pairs of added points can still be close
-        min_gap = _apart(pos, "added sets overlap", reach)
+        # only pairs of added points can still be close; the minimum gap
+        # needs every pair again
+        min_gap = _apart(pos if gap else extra, "added sets overlap", reach)
     return pos, theta, min_gap
 
 

@@ -1,8 +1,8 @@
 """Numerical certification engine.
 
 Singular 2-D quadrature for L^2 membership, finite-difference annihilation
-and Laplacian residuals, contour Laurent coefficients, loop-flux line
-integrals, and growth order/type estimation of entire factors.
+and Laplacian residuals, loop-flux line integrals, and growth order/type
+estimation of entire factors.
 
 Wave functions and potentials are consumed through a duck-typed protocol
 (the ansatz module provides concrete objects):
@@ -11,12 +11,13 @@ Wave functions and potentials are consumed through a duck-typed protocol
   psi.value(z)              complex psi where the phase is defined
   psi.spin                  '+' or '-'
   psi.vector_potential(z)   a_x + i a_y, evaluated analytically
-  psi.singular_sites(r)     [(position, local exponent)], |position| <= r
+  psi.singular_sites(r)     Sites(pos, expo): complex positions |pos| <= r
+                            and their local exponents, as arrays
   psi.decay_hint            DecayHint or None
 
   phi.value(z)              real phi
   phi.uniform_flux_density  xi0; the Laplacian target is b0 = 2 pi xi0
-  phi.singular_sites(r)     as above
+  phi.singular_sites(r)     the flux sites |pos| <= r; only .pos is read
 
 The quadrature integrates exp(2 log_abs) over nested discs R, 2R, 4R, ...
 Each site owns a disc of radius 0.1 x (nearest-neighbor distance), at most
@@ -56,7 +57,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .special import ConsistencyError, DomainError
+from .special import DomainError
 
 CONVERGENT = "Convergent"
 DIVERGENT = "Divergent"
@@ -95,6 +96,13 @@ class DecayHint(NamedTuple):
 
     kind: str
     rate: float
+
+
+class Sites(NamedTuple):
+    """Singular sites as arrays: complex positions and local exponents."""
+
+    pos: np.ndarray
+    expo: np.ndarray
 
 
 class ProbeRegion(NamedTuple):
@@ -145,19 +153,16 @@ class _SiteSet(NamedTuple):
     tree: object  # cKDTree of pos; None without sites
 
 
-def _site_set(pairs: Sequence[tuple[complex, float]]) -> _SiteSet:
-    pairs = [(complex(p), float(e)) for p, e in pairs]
-    if any(e <= -1.0 for _, e in pairs):
+def _site_set(sites: Sites) -> _SiteSet:
+    if np.any(sites.expo <= -1.0):
         raise DomainError("local exponent <= -1: |psi|^2 is not integrable")
     # integer local exponents are smooth; only fractional powers need care
-    pairs = [pe for pe in pairs if abs(pe[1] - round(pe[1])) > 1e-9]
-    if not pairs:
-        z = np.zeros(0, dtype=complex)
-        return _SiteSet(z, np.zeros(0), np.zeros(0), None)
+    frac = np.abs(sites.expo - np.round(sites.expo)) > 1e-9
+    pos, expo = sites.pos[frac], sites.expo[frac]
+    if not pos.size:
+        return _SiteSet(pos, expo, np.zeros(0), None)
     from scipy.spatial import cKDTree
 
-    pos = np.array([p for p, _ in pairs], dtype=complex)
-    expo = np.array([e for _, e in pairs], dtype=float)
     tree = cKDTree(np.column_stack([pos.real, pos.imag]))
     nn = tree.query(tree.data, k=2)[0][:, 1]  # inf for a lone site
     radius = np.minimum(_DISC_SHARE * nn, _DISC_RADIUS_MAX)
@@ -509,7 +514,7 @@ def l2_norm_squared(psi, abs_tol: float = 1e-8, rel_tol: float = 1e-6) -> Quadra
 
 def integrate_disc(
     log_abs: Callable,
-    singular_sites: Sequence[tuple[complex, float]],
+    singular_sites: Sites | Sequence[tuple[complex, float]],
     radius: float,
     abs_tol: float = 1e-9,
     rel_tol: float = 1e-6,
@@ -518,7 +523,13 @@ def integrate_disc(
 
     The building block of l2_norm_squared, exposed for calibration: exact
     radial weights at each listed singular site, adaptive panels elsewhere.
+    The sites are `Sites` or a sequence of (position, exponent) pairs.
     """
+    if not isinstance(singular_sites, Sites):
+        pairs = list(singular_sites)
+        singular_sites = Sites(
+            np.array([p for p, _ in pairs], dtype=complex), np.array([e for _, e in pairs], dtype=float)
+        )
     sites = _site_set(singular_sites)
     F = _Integrand(log_abs, sites)
     rough = 0.0
@@ -547,10 +558,9 @@ def _probe_points(region: ProbeRegion) -> np.ndarray:
     return (complex(center) + radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
 
 
-def _check_clearance(points: np.ndarray, sites: Sequence[tuple[complex, float]], clearance: float) -> None:
-    if not len(sites):
+def _check_clearance(points: np.ndarray, pos: np.ndarray, clearance: float) -> None:
+    if not pos.size:
         return
-    pos = np.array([p for p, _ in sites], dtype=complex)
     dist = np.abs(points[:, None] - pos[None, :])
     if float(dist.min()) < clearance:
         raise DomainError(
@@ -582,7 +592,7 @@ def annihilation_residual(
     pts = _probe_points(probe_region)
     hmax = max(meshes)
     reach = abs(probe_region.center) + probe_region.r_outer + 10.0 * hmax + 1.0
-    _check_clearance(pts, psi.singular_sites(reach), 10.0 * hmax)
+    _check_clearance(pts, psi.singular_sites(reach).pos, 10.0 * hmax)
 
     conj_spin = psi.spin == "-"
     norms = []
@@ -609,7 +619,7 @@ def laplacian_residual(
     pts = _probe_points(probe_region)
     hmax = max(meshes)
     reach = abs(probe_region.center) + probe_region.r_outer + 10.0 * hmax + 1.0
-    _check_clearance(pts, phi.singular_sites(reach), 10.0 * hmax)
+    _check_clearance(pts, phi.singular_sites(reach).pos, 10.0 * hmax)
 
     b0 = 2.0 * math.pi * phi.uniform_flux_density
     norms = []
@@ -630,31 +640,6 @@ def laplacian_residual(
 # contour checks
 
 
-def laurent_coefficient(
-    f: Callable, center: complex, n: int, radius: float, samples: int = 256
-) -> complex:
-    """Laurent coefficient a_n of f around center by the trapezoid rule.
-
-    Spectrally accurate for f analytic on the circle.  The companion bound
-    mean|f| >= |a_n| radius**n must hold up to quadrature error, else the
-    input is inconsistent with analyticity and ConsistencyError is raised.
-    """
-    if samples < 64:
-        raise DomainError("need at least 64 samples on the circle")
-    if radius <= 0:
-        raise DomainError("radius must be positive")
-    phase = np.exp(2j * math.pi * np.arange(samples) / samples)
-    vals = np.asarray(f(center + radius * phase))
-    a_n = complex(np.mean(vals * phase ** (-n)) / radius**n)
-    mean_abs = float(np.mean(np.abs(vals)))
-    slack = 1e-8 * max(1.0, mean_abs)
-    if mean_abs + slack < abs(a_n) * radius**n:
-        raise ConsistencyError(
-            "circle mean of |f| falls below |a_n| r^n: samples inconsistent with analyticity"
-        )
-    return a_n
-
-
 def loop_flux(a: Callable, rectangle: tuple[float, float, float, float], samples_per_side: int = 256) -> float:
     """Line integral of a_x dx + a_y dy around an axis-aligned rectangle.
 
@@ -669,13 +654,13 @@ def loop_flux(a: Callable, rectangle: tuple[float, float, float, float], samples
     sites = getattr(a, "singular_sites", None)
     if sites is not None:
         reach = max(abs(complex(x0, y0)), abs(complex(x1, y1))) + 1.0
-        pos = [complex(p) for p, _ in sites(reach)]
-        for p in pos:
-            dx = max(x0 - p.real, 0.0, p.real - x1)
-            dy = max(y0 - p.imag, 0.0, p.imag - y1)
-            edge = math.hypot(dx, dy)
-            if edge < 1e-6 and not (x0 + 1e-6 < p.real < x1 - 1e-6 and y0 + 1e-6 < p.imag < y1 - 1e-6):
-                raise DomainError("rectangle boundary passes too close to a flux site")
+        pos = sites(reach).pos
+        x, y = pos.real, pos.imag
+        dx = np.maximum(np.maximum(x0 - x, 0.0), x - x1)
+        dy = np.maximum(np.maximum(y0 - y, 0.0), y - y1)
+        inside = (x0 + 1e-6 < x) & (x < x1 - 1e-6) & (y0 + 1e-6 < y) & (y < y1 - 1e-6)
+        if np.any((np.hypot(dx, dy) < 1e-6) & ~inside):
+            raise DomainError("rectangle boundary passes too close to a flux site")
 
     panels = max(4, samples_per_side // 8)
     x_nodes, w = _gauss_rule(8)

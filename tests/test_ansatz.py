@@ -11,10 +11,15 @@ from hypothesis import strategies as st
 
 from fluxmodes import ansatz
 from fluxmodes.ansatz import (
+    _ZERO_ORDER_TOL,
+    ExoticSinc,
+    Monomial,
     NoModesError,
     PointZeros,
     SigmaZeros,
+    SincLine,
     SinZeros,
+    StarSinc,
     StarZeros,
     alpha_default,
     build_divergence_candidate,
@@ -24,6 +29,7 @@ from fluxmodes.ansatz import (
     sample_grid,
 )
 from fluxmodes.config import (
+    COINCIDENCE_TOL,
     AddedSet,
     ChainComponent,
     ConfigError,
@@ -32,6 +38,7 @@ from fluxmodes.config import (
     LatticeComponent,
     Perturbation,
     StarComponent,
+    Support,
     enumerate_support,
     has_nonparallel,
     normalize_fluxes,
@@ -56,6 +63,13 @@ from fluxmodes.verify import (
 def norm(config):
     out, _ = normalize_fluxes(config)
     return out
+
+
+def site_map(obj, r) -> dict:
+    """{position: flux or local exponent} of obj.singular_sites(r)."""
+    sites = obj.singular_sites(r)
+    values = sites.theta if isinstance(sites, Support) else sites.expo
+    return dict(zip(sites.pos.tolist(), values.tolist()))
 
 
 def finite(*pairs):
@@ -123,7 +137,7 @@ def test_phi_singular_sites_weights():
         )
     )
     phi = build_scalar_potential(cfg)
-    sites = dict(phi.singular_sites(3.0))
+    sites = site_map(phi, 3.0)
     assert sites[0j] == pytest.approx(0.5)
     assert sites[0.5 + 1j] == pytest.approx(0.3)
     assert 2.0 + 0j not in sites  # removal cancels the chain weight exactly
@@ -137,7 +151,7 @@ def test_phi_singular_sites_weights():
     )
     star = norm(FluxConfiguration(star=StarComponent(order=3, theta=0.5)))
     for cfg in (SQUARE, star, patched):
-        sites = dict(build_scalar_potential(cfg).singular_sites(5.0))
+        sites = site_map(build_scalar_potential(cfg), 5.0)
         support = enumerate_support(cfg, 5.0)
         assert len(sites) == len(support)
         pos = np.array(list(sites))
@@ -146,7 +160,7 @@ def test_phi_singular_sites_weights():
             assert abs(near - p) <= 1e-12 * max(1.0, abs(p))
             assert sites[complex(near)] == pytest.approx(theta)
     removed = 2.0 + 2.0j
-    assert min(abs(p - removed) for p, _ in build_scalar_potential(patched).singular_sites(5.0)) > 1.0
+    assert min(abs(p - removed) for p in site_map(build_scalar_potential(patched), 5.0)) > 1.0
 
 
 def test_vector_potential_site_evaluation_rejected():
@@ -250,7 +264,7 @@ def test_finite_spin_minus_exponents():
     cfg = finite((0.0, 0.3), (1.0, 0.4))
     fam = family(cfg, "-", 1)
     psi = fam.generator(0)
-    sites = dict(psi.singular_sites(2.0))
+    sites = site_map(psi, 2.0)
     assert sites[0j] == pytest.approx(-0.7)  # theta - 1
     assert sites[1.0 + 0j] == pytest.approx(-0.6)
     assert psi.decay_hint.rate == pytest.approx(1.3)
@@ -313,7 +327,7 @@ def test_chain_residuals_and_hint():
 def test_chain_zero_site_coincidence():
     # alpha = pi/4 puts sinc zeros on every fourth chain site
     fam = family(Z_CHAIN, "+", 1, alpha=math.pi / 4.0)
-    sites = dict(fam.generator(0).singular_sites(9.0))
+    sites = site_map(fam.generator(0), 9.0)
     assert sites[4.0 + 0j] == pytest.approx(0.5)
     assert sites[1.0 + 0j] == pytest.approx(-0.5)
     assert sites[0j] == pytest.approx(-0.5)  # sinc has no zero at its own center
@@ -388,7 +402,7 @@ def test_collinear_ratio_condition_factor():
     psi = fam.generator(0)
     upper = math.pi - math.pi * (0.2 / 1.0 + 0.1 / math.pi)
     assert fam.alpha_range == pytest.approx((0.0, upper))
-    sites = dict(psi.singular_sites(4.0))
+    sites = site_map(psi, 4.0)
     assert sites[0j] == pytest.approx(-0.8)  # lead chain keeps -theta
     assert sites[0.5 + 0j] == pytest.approx(0.1)  # second chain gets 1 - theta
     rep = annihilation_residual(psi, ProbeRegion(0.25 + 1.5j, 0.2, 1.0))
@@ -405,7 +419,7 @@ def test_lattice_polynomial_family():
     mu = math.pi / 8.0
     for psi in fam:
         assert psi.decay_hint == ("gaussian", pytest.approx(mu * 0.5))
-    sites = dict(fam.generator(2).singular_sites(1.0))
+    sites = site_map(fam.generator(2), 1.0)
     assert sites[0j] == pytest.approx(2 - 0.5)  # z^2 against the site at 0
 
 
@@ -414,7 +428,7 @@ def test_lattice_members_independent():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-3.0, 3.0, 200) + 1j * rng.uniform(-3.0, 3.0, 200)
     keep = np.ones(pts.shape, bool)
-    for p, _ in fam.generator(0).singular_sites(5.0):
+    for p in site_map(fam.generator(0), 5.0):
         keep &= np.abs(pts - p) > 0.1
     pts = pts[keep]
     V = np.stack([m.value(pts) for m in fam], axis=1)
@@ -451,7 +465,7 @@ def test_landau_general_product_factor():
     )
     fam = family(cfg, "+", 2)
     assert fam.f_recipe == "Polynomial"
-    sites = dict(fam.generator(0).singular_sites(3.0))
+    sites = site_map(fam.generator(0), 3.0)
     # canonical product contributes a simple zero on every site: 1 - theta
     assert sites[0j] == pytest.approx(0.5)
     assert sites[1.5 + 0.5j] == pytest.approx(0.7)
@@ -478,7 +492,7 @@ def test_move_inherits_base_recipe():
     assert fam.f_recipe == "SincChain"
     psi = fam.generator(0)
     assert psi.decay_hint == ("ring", -2.0)
-    sites = dict(psi.singular_sites(3.0))
+    sites = site_map(psi, 3.0)
     assert sites[2.2 + 0.4j] == pytest.approx(-0.5)
     assert 2.0 + 0j not in sites
     rep = annihilation_residual(psi, ProbeRegion(0.4 + 1.3j, 0.15, 0.6))
@@ -494,7 +508,7 @@ def test_additions_shift_power_hint():
     )
     psi = family(cfg, "+", 1).generator(0)
     assert psi.decay_hint == ("power", pytest.approx(1.2 + 0.7))
-    assert dict(psi.singular_sites(3.0))[0.5 + 2.0j] == pytest.approx(-0.7)
+    assert site_map(psi, 3.0)[0.5 + 2.0j] == pytest.approx(-0.7)
 
 
 def test_exotic_parallel_member():
@@ -512,7 +526,7 @@ def test_exotic_parallel_member():
     assert fam.alpha_range == pytest.approx((0.0, 3.0 * math.pi / 4.0))
     psi = fam.generator(0)
     assert psi.decay_hint.kind == "exp_sqrt"
-    sites = dict(psi.singular_sites(3.0))
+    sites = site_map(psi, 3.0)
     assert sites[2.3 + 1.7j] == pytest.approx(1.0 - 0.9)
     assert 0.5 + 0j not in sites
     rep = annihilation_residual(psi, ProbeRegion(0.25 + 0.85j, 0.1, 0.4))
@@ -544,7 +558,7 @@ def test_patched_lattice_member():
     v = decide(cfg, "+")
     assert v.theorem == "§8.4 theorem"
     psi = family(cfg, "+", 1).generator(0)
-    sites = dict(psi.singular_sites(3.0))
+    sites = site_map(psi, 3.0)
     assert 0j not in sites
     assert sites[1.0 + 0.3j] == pytest.approx(0.4)
     assert sites[2.0 + 0j] == pytest.approx(-0.5)
@@ -558,7 +572,7 @@ def test_star_family_both_spins():
     assert fam.alpha_range == pytest.approx((0.0, math.pi / 2.0))
     psi = fam.generator(0)
     assert psi.decay_hint == ("ring", pytest.approx(-6.0))
-    sites = dict(psi.singular_sites(1.7))
+    sites = site_map(psi, 1.7)
     assert sites[0j] == pytest.approx(-0.5)
     cube4 = 4.0 ** (1.0 / 3.0)
     assert sites[complex(cube4, 0.0)] == pytest.approx(0.5)  # sinc zero on the site
@@ -756,7 +770,7 @@ def test_merged_log_abs_matches_term_by_term(case, spin):
     psi = member_or_candidate(cfg, spin)
     rng = np.random.default_rng(sorted(FOLD_CASES).index(case))
     z = rng.uniform(-3.5, 3.5, 200) + 1j * rng.uniform(-3.5, 3.5, 200)
-    near = [p for p, _ in psi.potential.singular_sites(6.0)]
+    near = list(site_map(psi.potential, 6.0))
     if cfg.perturbation is not None:
         near += list(cfg.perturbation.removed)
     z = z[np.min(np.abs(z[:, None] - np.array(near)[None, :]), axis=1) > 1e-3]
@@ -767,7 +781,7 @@ def test_merged_log_abs_matches_term_by_term(case, spin):
     got = psi.log_abs(z)
     assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
     # the exponents singular_sites reports are the slopes of ln|psi| at the sites
-    for p, e in psi.singular_sites(2.5):
+    for p, e in site_map(psi, 2.5).items():
         assert ring_slope(psi, p, 1e-5) == pytest.approx(e, abs=1e-3)
 
 
@@ -787,3 +801,153 @@ def test_spin_minus_lattice_evaluates_sigma_once(monkeypatch):
         calls.clear()
         psi.log_abs(z)
         assert calls == [3]
+
+
+# ---------------------------------------------------------------------------
+# site arrays against the per-site loop they replace
+
+
+def _zero_order_at(piece, p: complex) -> int:
+    """The zero order of one piece at one point, as computed site by site
+    before the pieces took arrays."""
+    if isinstance(piece, PointZeros):
+        return 1 if abs(p - piece.position) <= COINCIDENCE_TOL else 0
+    if isinstance(piece, Monomial):
+        return piece.k if abs(p) <= COINCIDENCE_TOL else 0
+    if isinstance(piece, SinZeros):
+        u = (complex(p) - piece.kappa) / piece.omega0
+        return 1 if abs(u.imag) <= _ZERO_ORDER_TOL and abs(u.real - round(u.real)) <= _ZERO_ORDER_TOL else 0
+    if isinstance(piece, SigmaZeros):
+        w1, w2 = piece.basis.omega1, piece.basis.omega2
+        s = np.imag(np.conj(w1) * w2)
+        d = complex(p) - piece.kappa
+        t1 = np.imag(np.conj(d) * w2) / s
+        t2 = np.imag(np.conj(w1) * d) / s
+        return 1 if abs(t1 - round(t1)) <= _ZERO_ORDER_TOL and abs(t2 - round(t2)) <= _ZERO_ORDER_TOL else 0
+    if isinstance(piece, StarZeros):
+        w = complex(p) / piece.scale
+        if abs(w) <= COINCIDENCE_TOL:
+            return 1
+        u = w**piece.order
+        return 1 if abs(u.imag) <= _ZERO_ORDER_TOL and abs(u.real - round(u.real)) <= _ZERO_ORDER_TOL else 0
+    if isinstance(piece, StarSinc):
+        u = (complex(p) / piece.scale) ** piece.order
+        if abs(u) <= COINCIDENCE_TOL or abs(u.imag) > _ZERO_ORDER_TOL:
+            return 0
+        k = round(piece.alpha * u.real / math.pi)
+        return 1 if k != 0 and abs(piece.alpha * u.real - math.pi * k) <= _ZERO_ORDER_TOL else 0
+    # SincLine and ExoticSinc: sin(alpha w) on the real w-axis, k != 0
+    w = complex(piece._w(np.asarray(p, dtype=complex)))
+    if abs(w.imag) > _ZERO_ORDER_TOL:
+        return 0
+    k = round(piece.alpha * w.real / math.pi)
+    if k == 0 or abs(piece.alpha * w.real - math.pi * k) > _ZERO_ORDER_TOL:
+        return 0
+    if isinstance(piece, ExoticSinc):
+        root = math.isqrt(abs(k))
+        return 0 if root * root == abs(k) else 1
+    return 1
+
+
+def _tuple_sites(psi, r) -> list:
+    """(position, exponent) of psi's fractional sites, site by site."""
+    sites = psi.potential.singular_sites(r)
+    out = []
+    for p, w in zip(sites.pos.tolist(), sites.theta.tolist()):
+        e = psi._sign * w
+        for piece, power in psi.factor:
+            if power:
+                e += power * _zero_order_at(piece, p)
+        if abs(e - round(e)) > COINCIDENCE_TOL:
+            out.append((p, e))
+    return out
+
+
+# added points 0.5 and 2 zero-order tolerances off a removed site's zero, in
+# the reduced coordinate of the lattice (step 2) and of the chain (step 1)
+NEAR_ZERO_CASES = {
+    "patched-near": norm(
+        FluxConfiguration(
+            lattices=(lattice(2.0, 2.0j, (0.0, 0.5)),),
+            perturbation=Perturbation(
+                removed=(0.0, 2.0 + 0j),
+                added=(AddedSet((complex(2.0 * 0.5 * _ZERO_ORDER_TOL), 2.0 + 2.0j * 2.0 * _ZERO_ORDER_TOL), 0.6),),
+            ),
+        )
+    ),
+    "perturbed-near": norm(
+        FluxConfiguration(
+            chains=(chain(1.0, (0.0, 0.5)), chain(1.0j, (0.3 + 0.5j, 0.5))),
+            perturbation=Perturbation(
+                removed=(2.0 + 0j, 3.0 + 0j),
+                added=(AddedSet((2.0 + 0.5j * _ZERO_ORDER_TOL, 3.0 + 2.0 * _ZERO_ORDER_TOL), 0.5),),
+            ),
+        )
+    ),
+}
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a).tobytes()
+
+
+@pytest.mark.parametrize("spin", ["+", "-"])
+@pytest.mark.parametrize("case", sorted(FOLD_CASES) + sorted(NEAR_ZERO_CASES))
+def test_site_arrays_match_tuple_sites_bitwise(case, spin):
+    cfg = {**FOLD_CASES, **NEAR_ZERO_CASES}[case]
+    v = decide(cfg, spin)
+    if v.status == "NotExists":
+        members = [build_divergence_candidate(cfg, v)]
+    elif v.status.startswith("Exists"):
+        members = list(build_zero_modes(cfg, v, 3))
+    else:
+        pytest.skip(f"verdict {v.status}: no wave function")
+    for psi in members:
+        got = psi.singular_sites(6.0)
+        want = _tuple_sites(psi, 6.0)
+        assert len(want) > 0
+        assert got.pos.dtype == complex and got.expo.dtype == float
+        assert _bits(got.pos) == _bits(np.array([p for p, _ in want], dtype=complex))
+        assert _bits(got.expo) == _bits(np.array([e for _, e in want]))
+
+
+def test_near_zero_sites_count_only_within_tolerance():
+    # spin '-' divides by W: an added point 0.5 tolerances off a zero of W
+    # takes its order, one 2 tolerances off does not
+    for case, near, far in [("patched-near", 1e-7, 2.0 + 4e-7j), ("perturbed-near", 2.0 + 5e-8j, 3.0 + 2e-7)]:
+        cfg = NEAR_ZERO_CASES[case]
+        sites = site_map(member_or_candidate(cfg, "-"), 6.0)
+        assert sites[near] == pytest.approx(sites[far] - 1.0)
+
+
+def _near_zero_points(zeros, along: float, to_z) -> np.ndarray:
+    """Points 0, 0.5 and 2 zero-order tolerances off each zero of a piece's
+    reduced coordinate v, along the real v-axis (where `along` is one unit of
+    the coordinate the tolerance applies to) and across it; `to_z` maps v to z."""
+    off = np.array([0.0, 0.5, -0.5, 2.0, -2.0]) * _ZERO_ORDER_TOL
+    v = np.asarray(zeros, dtype=complex)[:, None] + np.concatenate([off * along, off[1:] * 1j])
+    return to_z(v.ravel())
+
+
+@pytest.mark.parametrize(
+    "piece, points",
+    [
+        (PointZeros(0.3 + 0.2j), 0.3 + 0.2j + np.array([0.0, 5e-10, 2e-9, 1e-9j, 3e-9j])),
+        (Monomial(2), np.array([0.0, 5e-10, 2e-9, 1e-9j, 3e-9j, 1.0])),
+        (SinZeros(0.8 + 0.6j, 0.1j), _near_zero_points(range(-2, 3), 1.0, lambda v: 0.1j + (0.8 + 0.6j) * v)),
+        (
+            SigmaZeros(LatticeBasis(2.0, 0.5 + 2.0j), 0.25j),
+            _near_zero_points([0, 1, 1 + 1j, -2 - 1j], 1.0, lambda v: 0.25j + 2.0 * v.real + (0.5 + 2.0j) * v.imag),
+        ),
+        (StarZeros(3, 1.0), _near_zero_points([0, 1, -2, 5], 1.0, lambda v: v ** (1 / 3))),
+        (SincLine(0.5 * math.pi, 0.5j, 1j), _near_zero_points(2.0 * np.arange(-2, 3), 2.0 / math.pi, lambda v: 0.5j + 1j * v)),
+        (StarSinc(0.5 * math.pi, 3, 1.0), _near_zero_points(2.0 * np.arange(-2, 3), 2.0 / math.pi, lambda v: v ** (1 / 3))),
+        (ExoticSinc(math.pi, 1.0, 0.5), _near_zero_points(np.arange(-4, 5), 1.0 / math.pi, lambda v: v - 0.5j)),
+    ],
+    ids=["point", "monomial", "sin", "sigma", "star", "sinc-line", "star-sinc", "exotic"],
+)
+def test_piece_zero_orders_match_per_site(piece, points):
+    got = piece.zero_orders(points)
+    want = [_zero_order_at(piece, p) for p in points.tolist()]
+    assert got.tolist() == want
+    assert 0 in want and max(want) > 0

@@ -14,6 +14,7 @@ import pytest
 from fluxmodes import cli
 from fluxmodes.cli import main
 from fluxmodes.config import config_from_dict, config_to_dict, normalize_fluxes
+from fluxmodes.verify import Sites
 
 # reports from before the real log-modulus kernels (see the file's "about")
 FROZEN = json.loads((Path(__file__).parent / "frozen_reports.json").read_text())
@@ -310,7 +311,7 @@ def test_parser_built_once_keeps_no_state(tmp_path, capsys):
 
 def _auto_probe_scan(psi, clearance):
     """The point-by-point scan that cli._auto_probe does in one array."""
-    sites = [p for p, _ in psi.singular_sites(12.0)]
+    sites = psi.singular_sites(12.0).pos.tolist()
     best_c, best_d = 0j, -1.0
     for x in np.linspace(-3.075, 3.075, 21):
         for y in np.linspace(-3.05, 3.05, 21):
@@ -324,10 +325,11 @@ def _auto_probe_scan(psi, clearance):
 
 class _Sites:
     def __init__(self, points):
-        self.points = points
+        self.pos = np.array(points, dtype=complex)
 
     def singular_sites(self, r):
-        return [(p, 0.5) for p in self.points if abs(p) <= r]
+        pos = self.pos[np.abs(self.pos) <= r]
+        return Sites(pos, np.full(pos.size, 0.5))
 
 
 @pytest.mark.parametrize(

@@ -155,6 +155,28 @@ class TestEnumeration:
         with pytest.raises(ConfigError):
             enumerate_support(cfg, 3.0)
 
+    @pytest.mark.parametrize("second", [-1.5 + 2.5j, -1.5 + 2.5j + 4e-10])
+    @pytest.mark.parametrize("gap", [False, True])
+    def test_added_duplicate_named_on_a_lattice(self, second, gap):
+        # 317 regular sites, more than _PAIRWISE_MAX: without the gap only the
+        # added points are checked against each other, with it every pair
+        lat = (LatticeComponent(SQUARE, (FluxSite(0.0, 0.5),)),)
+        assert len(enumerate_support(FluxConfiguration(lattices=lat), 10.0)) > config_module._PAIRWISE_MAX
+        cfg = FluxConfiguration(
+            lattices=lat,
+            perturbation=Perturbation(added=(AddedSet((0.5 + 0.5j, -1.5 + 2.5j), 0.3), AddedSet((second,), 0.2))),
+        )
+        with pytest.raises(ConfigError, match=r"^added sets overlap: duplicate site at \(-1\.5\+2\.5j\)$"):
+            config_module._sites(cfg, 10.0, gap=gap)
+
+    def test_added_lattice_collision_named(self):
+        cfg = FluxConfiguration(
+            lattices=(LatticeComponent(SQUARE, (FluxSite(0.0, 0.5),)),),
+            perturbation=Perturbation(added=(AddedSet((0.5 + 0.5j, 2 + 1j + 3e-10), 0.3),)),
+        )
+        with pytest.raises(ConfigError, match=r"^added point \(2\.0000000003\+1j\) collides with a regular site$"):
+            enumerate_support(cfg, 10.0)
+
     def test_cross_component_duplicate_rejected(self):
         cfg = FluxConfiguration(
             finite_sites=(FluxSite(1.0, 0.5),),

@@ -1,6 +1,7 @@
 """Calibration of the certification engine against closed forms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fluxmodes.config import (
     FluxSite,
     LatticeComponent,
     StarComponent,
+    Support,
     config_from_dict,
     normalize_fluxes,
 )
@@ -30,6 +32,7 @@ from fluxmodes.verify import (
     INCONCLUSIVE,
     DecayHint,
     ProbeRegion,
+    Sites,
     _Integrand,
     _region_integral,
     _site_disc_bounds,
@@ -41,9 +44,18 @@ from fluxmodes.verify import (
     integrate_disc,
     l2_norm_squared,
     laplacian_residual,
-    laurent_coefficient,
     loop_flux,
 )
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def _sites(pairs) -> Sites:
+    """Sites of (position, exponent) pairs."""
+    pairs = list(pairs)
+    return Sites(np.array([p for p, _ in pairs], dtype=complex), np.array([e for _, e in pairs], dtype=float))
 
 
 class FakePsi:
@@ -52,7 +64,7 @@ class FakePsi:
     def __init__(self, log_abs, value=None, sites=(), hint=None, spin="+", vector_potential=None):
         self._log_abs = log_abs
         self._value = value
-        self._sites = tuple(sites)
+        self._sites = _sites(sites)
         self.decay_hint = hint
         self.spin = spin
         self._vp = vector_potential
@@ -67,7 +79,8 @@ class FakePsi:
         return self._vp(np.asarray(z, dtype=complex))
 
     def singular_sites(self, r):
-        return [(p, e) for p, e in self._sites if abs(p) <= r]
+        keep = np.abs(self._sites.pos) <= r
+        return Sites(self._sites.pos[keep], self._sites.expo[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +136,7 @@ def test_disc_integral_offcenter_site():
 )
 def test_nearest_site_cutoff_matches_product(points, seed):
     try:
-        sites = _site_set([(complex(x, y), -0.4) for x, y in points])
+        sites = _site_set(_sites((complex(x, y), -0.4) for x, y in points))
     except DomainError:
         return  # coincident sites are rejected before any cutoff is formed
     rng = np.random.default_rng(seed)
@@ -490,6 +503,31 @@ def test_non_integrable_site_rejected():
             integrate_disc(log_abs, [(0j, expo)], 1.0)
 
 
+def test_integrate_disc_pairs_and_sites_agree():
+    def log_abs(z):
+        return -0.3 * np.log(np.abs(z - 0.2)) - 0.25 * np.log(np.abs(z + 0.5j)) - 0.5 * np.abs(z) ** 2
+
+    pairs = [(0.2 + 0j, -0.3), (-0.5j, -0.25), (1.5 + 0j, 2.0)]
+    from_pairs = integrate_disc(log_abs, pairs, 2.0)
+    from_sites = integrate_disc(log_abs, _sites(pairs), 2.0)
+    assert _bits(from_pairs) == _bits(from_sites)
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([(0j, -0.5), (1.0 + 0j, -1.0)], "local exponent <= -1: |psi|^2 is not integrable"),
+        ([(0j, -0.5), (1.0 + 0j, -0.5), (0j, 0.25)], "coincident singular sites"),
+    ],
+    ids=["exponent", "coincident"],
+)
+def test_site_set_messages(pairs, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        _site_set(_sites(pairs))
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        integrate_disc(lambda z: np.zeros(z.shape), pairs, 2.0)
+
+
 class AllSitesPsi:
     """Wave-function proxy listing every singular site at any radius."""
 
@@ -561,7 +599,7 @@ def test_annihilation_spin_minus():
 
 def test_annihilation_site_clearance():
     psi = _landau_plus(1.0)
-    psi._sites = ((0.89 + 0.11j, -0.5),)  # next to a probe point
+    psi._sites = _sites([(0.89 + 0.11j, -0.5)])  # next to a probe point
     with pytest.raises(DomainError):
         annihilation_residual(psi, ProbeRegion(0.0, 0.5, 1.5))
 
@@ -570,13 +608,14 @@ class FakePhi:
     def __init__(self, value, xi0, sites=()):
         self._value = value
         self.uniform_flux_density = xi0
-        self._sites = tuple(sites)
+        self._sites = _sites(sites)
 
     def value(self, z):
         return self._value(np.asarray(z, dtype=complex))
 
     def singular_sites(self, r):
-        return [(p, e) for p, e in self._sites if abs(p) <= r]
+        keep = np.abs(self._sites.pos) <= r
+        return Support(self._sites.pos[keep], self._sites.expo[keep])
 
 
 def test_laplacian_residual():
@@ -596,41 +635,6 @@ def test_laplacian_residual():
 # contour checks
 
 
-def test_laurent_simple_pole():
-    a = laurent_coefficient(lambda z: 1.0 / z, 0.0, -1, radius=0.7)
-    assert a == pytest.approx(1.0, abs=1e-12)
-
-
-def test_laurent_exponential():
-    a2 = laurent_coefficient(np.exp, 0.0, 2, radius=1.3)
-    assert a2 == pytest.approx(0.5, abs=1e-12)
-    a1 = laurent_coefficient(lambda z: np.sin(math.pi * z) / math.pi, 0.0, 1, radius=0.9)
-    assert a1 == pytest.approx(1.0, abs=1e-12)
-
-
-def test_laurent_guards():
-    with pytest.raises(DomainError):
-        laurent_coefficient(np.exp, 0.0, 0, radius=1.0, samples=32)
-    with pytest.raises(DomainError):
-        laurent_coefficient(np.exp, 0.0, 0, radius=-1.0)
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    st.lists(
-        st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
-        min_size=1,
-        max_size=6,
-    ),
-    st.integers(min_value=-5, max_value=5),
-)
-def test_laurent_polynomial_coefficients(coeffs, n):
-    f = lambda z: sum(c * z**k for k, c in enumerate(coeffs))
-    a = laurent_coefficient(f, 0.0, n, radius=1.1)
-    expected = coeffs[n] if 0 <= n < len(coeffs) else 0.0
-    assert abs(a - expected) < 1e-9 * (1.0 + sum(abs(c) for c in coeffs))
-
-
 class FakeField:
     """Vector potential of point fluxes plus a uniform component."""
 
@@ -646,7 +650,10 @@ class FakeField:
         return out
 
     def singular_sites(self, r):
-        return [(w, -th) for w, th in self.sites if abs(w) <= r]
+        pos = np.array([w for w, _ in self.sites], dtype=complex)
+        theta = np.array([th for _, th in self.sites])
+        keep = np.abs(pos) <= r
+        return Support(pos[keep], theta[keep])
 
 
 def test_loop_flux_single_site():
