@@ -30,7 +30,10 @@ A disc's radial rule is split at the partition's ramp: Gauss-Jacobi on the
 core, where the cut is 1 and the known local power is the weight, and
 Gauss-Legendre on the ramp, with the power and the cut in its weights.  Its
 rows are sampled on a 16-node trapezoid circle, and its error is nested:
-fine vs coarse radial rows plus all vs every other angular node.
+fine vs coarse radial rows plus all vs every other angular node.  The discs
+an annulus integrates are evaluated rule by rule, the rows of as many discs as
+fit in _CHUNK_POINTS points per integrand call, and each disc is reduced on
+its own, so its value does not depend on the discs it shares a call with.
 The bulk is refined level by level: each level splits into four the panels
 that carry all but half the tolerance of the 6x6 vs 4x4 Gauss-Legendre error,
 and evaluates every child of the level in integrand calls of about
@@ -78,6 +81,7 @@ _MAX_PANELS = 40_000
 _DISC_ROWS = (12, 24)
 _DISC_ROWS_COARSE = (8, 16)
 _ANGULAR_NODES = 16
+_RING = np.exp(2j * math.pi * np.arange(_ANGULAR_NODES) / _ANGULAR_NODES)
 _CHUNK_POINTS = 3072
 
 
@@ -327,32 +331,41 @@ def _disc_rules(beta: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(rules)
 
 
-def _site_disc_integral(
-    log_abs: Callable, center: complex, exponent: float, radius: float
-) -> tuple[float, float]:
-    """Bump-weighted integral of |psi|^2 over one site disc, with error.
+def _site_disc_integrals(
+    log_abs: Callable, pos: np.ndarray, expo: np.ndarray, radius: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bump-weighted integrals of |psi|^2 over site discs, with errors.
 
     The known local power rho**(2 e) goes into the radial weights (see
     _disc_rules), so only the smooth remainder is sampled, on a trapezoid
     circle of _ANGULAR_NODES nodes per radial row.  The error estimate is
     |fine - coarse| radially plus |all nodes - every other node| angularly.
+    Each rule's rows of as many discs as fit in _CHUNK_POINTS go into one
+    log_abs call; each disc is then reduced on its own, as it would be alone.
     """
-    beta = 2.0 * exponent + 1.0
-    ring = np.exp(2j * math.pi * np.arange(_ANGULAR_NODES) / _ANGULAR_NODES)
-    scale = 2.0 * math.pi * radius ** (beta + 1.0)
-
-    def rows(t, w):
-        rho = radius * t
-        Z = center + rho[:, None] * ring
-        la = np.asarray(log_abs(Z.ravel()), dtype=float).reshape(Z.shape)
-        with np.errstate(over="ignore"):
-            smooth = np.exp(2.0 * la - 2.0 * exponent * np.log(rho)[:, None])
-        return scale * float(w @ smooth.mean(axis=1)), scale * float(w @ smooth[:, ::2].mean(axis=1))
-
-    fine_rule, coarse_rule = _disc_rules(round(beta, 12))
-    fine, fine_half = rows(*fine_rule)
-    coarse, _ = rows(*coarse_rule)
-    return fine, abs(fine - coarse) + abs(fine - fine_half)
+    beta = 2.0 * expo + 1.0
+    rules = [_disc_rules(b) for b in np.round(beta, 12)]
+    # scalar powers: numpy's array power can differ from them in the last bit
+    scale = np.array([2.0 * math.pi * r ** (b + 1.0) for r, b in zip(radius, beta)])
+    sums = []
+    for k, n_rows in enumerate((sum(_DISC_ROWS), sum(_DISC_ROWS_COARSE))):
+        full, half = np.empty(pos.size), np.empty(pos.size)
+        step = _CHUNK_POINTS // (n_rows * _ANGULAR_NODES)
+        for s in range(0, pos.size, step):
+            c = slice(s, s + step)
+            rho = radius[c, None] * np.array([rule[k][0] for rule in rules[c]])
+            Z = pos[c, None, None] + rho[:, :, None] * _RING
+            la = np.asarray(log_abs(Z.ravel()), dtype=float).reshape(Z.shape)
+            with np.errstate(over="ignore"):
+                smooth = np.exp(2.0 * la - (2.0 * expo[c])[:, None, None] * np.log(rho)[:, :, None])
+            m_full, m_half = smooth.mean(axis=2), smooth[:, :, ::2].mean(axis=2)
+            for j, rule in enumerate(rules[c]):
+                w = rule[k][1]
+                full[s + j] = scale[s + j] * float(w @ m_full[j])
+                half[s + j] = scale[s + j] * float(w @ m_half[j])
+        sums.append((full, half))
+    (fine, fine_half), (coarse, _) = sums
+    return fine, np.abs(fine - coarse) + np.abs(fine - fine_half)
 
 
 def _site_disc_bounds(log_abs: Callable, sites: _SiteSet, idx: np.ndarray) -> list[float]:
@@ -483,11 +496,17 @@ def l2_norm_squared(psi, abs_tol: float = 1e-8, rel_tol: float = 1e-6) -> Quadra
         new = np.nonzero((np.abs(sites.pos) > r_prev) & (np.abs(sites.pos) <= R) & (not settled))[0]
         share = 0.1 * tol_here / max(1, new.size)
         bounds = _site_disc_bounds(psi.log_abs, sites, new) if new.size else []
-        for i, bound in zip(new, bounds):
+        # the discs whose bound is at least their share (or NaN), in one batch
+        whole = new[[not bound < share for bound in bounds]]
+        values, errors = _site_disc_integrals(
+            psi.log_abs, sites.pos[whole], sites.expo[whole], sites.radius[whole]
+        )
+        discs = zip(values.tolist(), errors.tolist())
+        for bound in bounds:
             if bound < share:
                 quad_err += bound
                 continue
-            v, e = _site_disc_integral(psi.log_abs, sites.pos[i], sites.expo[i], sites.radius[i])
+            v, e = next(discs)
             inc += v
             quad_err += e
 
@@ -534,8 +553,8 @@ def integrate_disc(
     F = _Integrand(log_abs, sites)
     rough = 0.0
     site_err = 0.0
-    for i in range(sites.pos.size):
-        v, e = _site_disc_integral(log_abs, sites.pos[i], sites.expo[i], sites.radius[i])
+    values, errors = _site_disc_integrals(log_abs, sites.pos, sites.expo, sites.radius)
+    for v, e in zip(values.tolist(), errors.tolist()):
         rough += v
         site_err += e
     bulk, err = _region_integral(F, 0.0, radius, max(abs_tol, rel_tol * rough), rel_tol)

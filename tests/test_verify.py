@@ -27,6 +27,7 @@ from fluxmodes.special import DomainError, LatticeBasis, log_abs_sigma_tilde, lo
 from fluxmodes.verify import (
     _BUMP_HI,
     _BUMP_LO,
+    _CHUNK_POINTS,
     CONVERGENT,
     DIVERGENT,
     INCONCLUSIVE,
@@ -36,7 +37,7 @@ from fluxmodes.verify import (
     _Integrand,
     _region_integral,
     _site_disc_bounds,
-    _site_disc_integral,
+    _site_disc_integrals,
     _site_set,
     _smooth_rise,
     annihilation_residual,
@@ -162,14 +163,16 @@ def _chain_mode():
 
 
 class CountingPsi:
-    """Wave-function proxy counting log_abs calls."""
+    """Wave-function proxy counting log_abs calls and their sizes."""
 
     def __init__(self, psi):
         self._psi = psi
         self.calls = 0
+        self.sizes = []
 
     def log_abs(self, z):
         self.calls += 1
+        self.sizes.append(np.size(z))
         return self._psi.log_abs(z)
 
     def __getattr__(self, name):
@@ -224,13 +227,13 @@ def test_divergence_settled_by_bulk_skips_site_discs(monkeypatch):
     cfg, v = _landau_lattice(0.7)
     assert v.status == "NotExists"
     centers = []
-    disc = verify._site_disc_integral
+    discs = verify._site_disc_integrals
 
-    def spy(log_abs, center, exponent, radius):
-        centers.append(abs(center))
-        return disc(log_abs, center, exponent, radius)
+    def spy(log_abs, pos, expo, radius):
+        centers.extend(np.abs(pos).tolist())
+        return discs(log_abs, pos, expo, radius)
 
-    monkeypatch.setattr(verify, "_site_disc_integral", spy)
+    monkeypatch.setattr(verify, "_site_disc_integrals", spy)
     res = l2_norm_squared(build_divergence_candidate(cfg, v), 1e-8, 1e-5)
     assert res.flag == DIVERGENT
     assert res.error_estimate == math.inf
@@ -240,6 +243,14 @@ def test_divergence_settled_by_bulk_skips_site_discs(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # site-disc rule
+
+
+def _one_disc(log_abs, center, exponent, radius):
+    """(value, error) of one site disc through the batched rule."""
+    values, errors = _site_disc_integrals(
+        log_abs, np.array([center]), np.array([exponent]), np.array([radius])
+    )
+    return float(values[0]), float(errors[0])
 
 
 def _ramp(t):
@@ -261,9 +272,7 @@ def test_site_disc_pure_power(exponent, radius):
     )
     scale = 2.0 * math.pi * radius ** (beta + 1.0)
     ref, ref_err = scale * t_int, scale * t_err
-    value, err = _site_disc_integral(
-        lambda z: exponent * np.log(np.abs(z - center)), center, exponent, radius
-    )
+    value, err = _one_disc(lambda z: exponent * np.log(np.abs(z - center)), center, exponent, radius)
     assert abs(value - ref) <= err + ref_err
     assert err <= (1e-8 if exponent < 0.0 else 1e-6) * ref
 
@@ -309,9 +318,82 @@ def test_site_disc_matches_split_reference(family):
     for i in np.argsort(np.abs(sites.pos))[:6]:
         args = (sites.pos[i], sites.expo[i], sites.radius[i])
         ref = _split_reference(psi.log_abs, *args)
-        value, err = _site_disc_integral(psi.log_abs, *args)
+        value, err = _one_disc(psi.log_abs, *args)
         assert abs(value - ref) <= err
         assert err <= 1e-8 * ref
+
+
+def _site_disc_reference(log_abs, center, exponent, radius):
+    """One disc at a time, as the batched discs were computed before: two
+    log_abs calls, the fine and the coarse rule's rows."""
+    beta = 2.0 * exponent + 1.0
+    ring = np.exp(2j * math.pi * np.arange(16) / 16)
+    scale = 2.0 * math.pi * radius ** (beta + 1.0)
+
+    def rows(t, w):
+        rho = radius * t
+        Z = center + rho[:, None] * ring
+        la = np.asarray(log_abs(Z.ravel()), dtype=float).reshape(Z.shape)
+        with np.errstate(over="ignore"):
+            smooth = np.exp(2.0 * la - 2.0 * exponent * np.log(rho)[:, None])
+        return scale * float(w @ smooth.mean(axis=1)), scale * float(w @ smooth[:, ::2].mean(axis=1))
+
+    fine_rule, coarse_rule = verify._disc_rules(round(beta, 12))
+    fine, fine_half = rows(*fine_rule)
+    coarse, _ = rows(*coarse_rule)
+    return fine, abs(fine - coarse) + abs(fine - fine_half)
+
+
+def _mixed_mode():
+    # 13 sites whose exponents cycle through flux sites and zeros of several
+    # orders, so every chunk of both rules mixes radial rules
+    pos = np.array([complex(k % 5, k // 5) * 1.3 for k in range(13)])
+    expo = np.resize([-0.9, -0.5, -0.25, 0.3, 1.5, -0.6], pos.size)
+
+    def la(z):
+        powers = np.sum(expo[:, None] * np.log(np.abs(z - pos[:, None])), axis=0)
+        return powers + 0.2 * z.real - 0.05 * np.abs(z) ** 2
+
+    return FakePsi(la, sites=zip(pos, expo))
+
+
+_DISC_FAMILIES = {
+    "finite": _two_site_mode,
+    "chain": _chain_mode,
+    "lattice": _lattice2_mode,
+    "landau-minus": lambda: build_zero_modes(*_landau_lattice(0.3), 1).generator(0),
+    "parallel": lambda: _parallel_mode(),
+    "star": _star_mode,
+    "mixed": _mixed_mode,
+}
+
+
+# 1 to 13 discs cross the edges of both rules' chunks: 5 discs a fine call,
+# 8 a coarse one; a family with fewer sites repeats them
+@pytest.mark.parametrize("count", [1, 5, 6, 8, 9, 13])
+@pytest.mark.parametrize("family", list(_DISC_FAMILIES))
+def test_batched_site_discs_bit_identical(family, count):
+    psi = _DISC_FAMILIES[family]()
+    sites = _site_set(psi.singular_sites(8.0))
+    idx = np.resize(np.argsort(np.abs(sites.pos), kind="stable"), count)
+    values, errors = _site_disc_integrals(psi.log_abs, sites.pos[idx], sites.expo[idx], sites.radius[idx])
+    want = [_site_disc_reference(psi.log_abs, sites.pos[i], sites.expo[i], sites.radius[i]) for i in idx]
+    assert list(zip(values.tolist(), errors.tolist())) == want
+    if family == "mixed":  # every chunk of either rule mixes exponents
+        for step in (5, 8):
+            chunks = [sites.expo[idx[s : s + step]] for s in range(0, count, step)]
+            assert all(c.size == 1 or np.unique(c).size > 1 for c in chunks)
+
+
+def test_parallel_member_disc_calls_in_chunks():
+    # criterion 09's member: one log_abs call per disc rule and chunk of
+    # discs, not two per disc (237 calls before batching), and no call, the
+    # disc path's included, above _CHUNK_POINTS points
+    psi = CountingPsi(_parallel_mode(alpha=0.4))
+    res = l2_norm_squared(psi, 1e-8, 1e-1)
+    assert res.flag == CONVERGENT
+    assert psi.calls < 100
+    assert max(psi.sizes) <= _CHUNK_POINTS
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +413,7 @@ def _per_node_cutoff(sites, Z):
     return fac
 
 
-def _parallel_mode():
+def _parallel_mode(alpha=None):
     # Thm 7.4: two parallel chains, one site removed and five added
     doc = {
         "chains": [
@@ -346,7 +428,7 @@ def _parallel_mode():
         },
     }
     cfg, _ = normalize_fluxes(config_from_dict(doc))
-    return build_zero_modes(cfg, decide(cfg, "+"), 1).generator(0)
+    return build_zero_modes(cfg, decide(cfg, "+"), 1, alpha=alpha).generator(0)
 
 
 def _box_rows(sites, annuli):
