@@ -285,8 +285,8 @@ def build_scalar_potential(config: FluxConfiguration) -> ScalarPotential:
             base = replace(config, perturbation=None)
             sites = enumerate_support(base, 1.0 + max(map(abs, removed)))
             terms.extend((PointZeros(p), -t) for p, t in zip(removed, sites.theta_at(removed)))
-        for grp in config.perturbation.added:
-            terms.extend((PointZeros(p), grp.theta) for p in grp.points)
+        pert = config.perturbation
+        terms.extend((PointZeros(p), t) for p, t in zip(pert.points, pert.thetas))
     return ScalarPotential(tuple(terms), config)
 
 
@@ -615,17 +615,6 @@ def _point_pieces(points, power: int) -> tuple:
     return tuple((PointZeros(p), power) for p in points)
 
 
-def _added_points(config: FluxConfiguration) -> tuple[list[complex], list[float]]:
-    if config.perturbation is None:
-        return [], []
-    pts, thetas = [], []
-    for grp in config.perturbation.added:
-        for p in grp.points:
-            pts.append(p)
-            thetas.append(grp.theta)
-    return pts, thetas
-
-
 @dataclass
 class _Member:
     factor: tuple
@@ -647,6 +636,13 @@ def _monomial_members(count, kind, rate_fn, extra: tuple = ()):
         _Member(((Monomial(k), 1),) + extra, rate_fn(k), ("k", float(k))) for k in range(count)
     ]
     return _Recipe(kind, None, members)
+
+
+def _sinc_members(count, kind, upper, alpha, member):
+    """Members over the alpha grid of (0, upper); member(a) gives the
+    (factor, decay hint) of parameter a."""
+    members = [_Member(*member(a), ("alpha", a)) for a in _alpha_grid(upper, count, alpha)]
+    return _Recipe(kind, (0.0, upper), members)
 
 
 def _finite_recipe(config: FluxConfiguration, verdict: ZeroModeVerdict, count: int) -> _Recipe:
@@ -672,11 +668,9 @@ def _chain_recipe(config: FluxConfiguration, count: int, alpha: float | None) ->
         hint = DecayHint("exponential", 0.5 * min(_line_flux_density(g) for g in groups))
     else:
         hint = DecayHint("ring", -2.0)
-    members = [
-        _Member(((SincLine(a, origin, d), 1),), hint, ("alpha", a))
-        for a in _alpha_grid(theta_bar, count, alpha)
-    ]
-    return _Recipe("SincChain", (0.0, theta_bar), members)
+    return _sinc_members(
+        count, "SincChain", theta_bar, alpha, lambda a: (((SincLine(a, origin, d), 1),), hint)
+    )
 
 
 def _collinear_recipe(
@@ -686,28 +680,24 @@ def _collinear_recipe(
     d = chains[0].direction
     periods = [abs(c.omega0) for c in chains]
     thetas = [c.offsets[0].theta for c in chains]
-    if cond == 3:
-        cond = 1 if sum(thetas) < 1.0 else 2
     if cond == 1:
         upper = min(math.pi * t / p for t, p in zip(thetas, periods))
-        members = []
-        for a in _alpha_grid(upper, count, alpha):
-            factor = tuple(
-                (SincLine(a, c.offsets[0].position, d), 1) for c in chains
-            )
-            members.append(
-                _Member(factor, DecayHint("ring", -2.0 * len(chains)), ("alpha", a))
-            )
-        return _Recipe("SincChain", (0.0, upper), members)
+        hint = DecayHint("ring", -2.0 * len(chains))
+        return _sinc_members(
+            count, "SincChain", upper, alpha,
+            lambda a: (tuple((SincLine(a, c.offsets[0].position, d), 1) for c in chains), hint),
+        )
+    # conditions 2 and 3 (a pair with sum theta >= 1): one sinc line, the
+    # other chains as sine arms
     upper = math.pi / periods[0] - math.pi * sum(
         (1.0 - t) / p for t, p in zip(thetas, periods)
     )
     arms = tuple((SinZeros(c.omega0, c.offsets[0].position), 1) for c in chains[1:])
-    members = []
-    for a in _alpha_grid(upper, count, alpha):
-        factor = ((SincLine(a, chains[0].offsets[0].position, d), 1),) + arms
-        members.append(_Member(factor, DecayHint("ring", -2.0), ("alpha", a)))
-    return _Recipe("SincChain", (0.0, upper), members)
+    lead = chains[0].offsets[0].position
+    return _sinc_members(
+        count, "SincChain", upper, alpha,
+        lambda a: (((SincLine(a, lead, d), 1),) + arms, DecayHint("ring", -2.0)),
+    )
 
 
 def _lattice_rate(config: FluxConfiguration) -> float:
@@ -727,8 +717,6 @@ def _simple_lattice_recipe(config: FluxConfiguration, cond: int, count: int) -> 
     lats = sorted(config.lattices, key=lambda l: l.basis.area)
     mus = [lattice_constants(l.basis).mu for l in lats]
     thetas = [l.offsets[0].theta for l in lats]
-    if cond == 3:
-        cond = 1 if sum(thetas) < 1.0 else 2
     if cond == 1:
         rate = sum(m * t for m, t in zip(mus, thetas))
         return _monomial_members(count, "Polynomial", lambda k: DecayHint("gaussian", rate))
@@ -758,13 +746,12 @@ def _perturbed_chain_recipe(config: FluxConfiguration, count: int, alpha: float 
     lead = groups[0]
     other_dirs = [g for g in groups if not parallel_directions(lead[0].direction, g[0].direction)]
     upper = 0.5 * _line_flux_density(lead)
-    extra = _point_pieces(_added_points(config)[0], 1)
-    rate = 0.5 * min(_line_flux_density(g) for g in other_dirs)
-    members = []
-    for a in _alpha_grid(upper, count, alpha):
-        factor = ((SincLine(a, lead[0].offsets[0].position, lead[0].direction), 1),) + extra
-        members.append(_Member(factor, DecayHint("exponential", rate), ("alpha", a)))
-    return _Recipe("SincChain", (0.0, upper), members)
+    extra = _point_pieces(config.perturbation.points, 1)
+    hint = DecayHint("exponential", 0.5 * min(_line_flux_density(g) for g in other_dirs))
+    origin, d = lead[0].offsets[0].position, lead[0].direction
+    return _sinc_members(
+        count, "SincChain", upper, alpha, lambda a: (((SincLine(a, origin, d), 1),) + extra, hint)
+    )
 
 
 def _parallel_exotic_recipe(config: FluxConfiguration, count: int, alpha: float | None) -> _Recipe:
@@ -774,19 +761,19 @@ def _parallel_exotic_recipe(config: FluxConfiguration, count: int, alpha: float 
     )
     ys = [np.imag(s.position / d) for c in config.chains for s in c.offsets]
     shift = 1.0 + max(0.0, -min(ys))
-    extra = _point_pieces(_added_points(config)[0], 1)
-    members = []
-    for a in _alpha_grid(upper, count, alpha):
-        factor = ((ExoticSinc(a, d, shift), 1),) + extra
-        members.append(
-            _Member(factor, DecayHint("exp_sqrt", 0.5 * math.sqrt(math.pi * a)), ("alpha", a))
-        )
-    return _Recipe("ExoticParallel", (0.0, upper), members)
+    extra = _point_pieces(config.perturbation.points, 1)
+    return _sinc_members(
+        count, "ExoticParallel", upper, alpha,
+        lambda a: (
+            ((ExoticSinc(a, d, shift), 1),) + extra,
+            DecayHint("exp_sqrt", 0.5 * math.sqrt(math.pi * a)),
+        ),
+    )
 
 
 def _patched_lattice_recipe(config: FluxConfiguration, count: int) -> _Recipe:
     rate = _lattice_rate(config)
-    extra = _point_pieces(_added_points(config)[0], 1)
+    extra = _point_pieces(config.perturbation.points, 1)
     return _monomial_members(count, "Polynomial", lambda k: DecayHint("gaussian", rate), extra)
 
 
@@ -794,16 +781,10 @@ def _star_recipe(config: FluxConfiguration, count: int, alpha: float | None) -> 
     star = config.star
     n, theta = star.order, star.theta
     upper = math.pi * theta
-    rate = 1.0 - 3.0 * n + 2.0 * theta * (n - 1.0)
-    members = [
-        _Member(
-            ((StarSinc(a, n, star.scale), 1),),
-            DecayHint("ring", rate),
-            ("alpha", a),
-        )
-        for a in _alpha_grid(upper, count, alpha)
-    ]
-    return _Recipe("SincChain", (0.0, upper), members)
+    hint = DecayHint("ring", 1.0 - 3.0 * n + 2.0 * theta * (n - 1.0))
+    return _sinc_members(
+        count, "SincChain", upper, alpha, lambda a: (((StarSinc(a, n, star.scale), 1),), hint)
+    )
 
 
 def _inherited_recipe(
@@ -812,8 +793,7 @@ def _inherited_recipe(
     base_cfg = replace(config, perturbation=None)
     base_verdict = decide(base_cfg, "+", r_max=r_max)
     rec = _plus_recipe(base_cfg, base_verdict, count, alpha, r_max)
-    _, thetas = _added_points(config)
-    shift = sum(thetas)
+    shift = sum(config.perturbation.thetas)
     if shift and config.perturbation.removed == ():
         for m in rec.members:
             if m.hint.kind == "power":
@@ -866,7 +846,7 @@ def _inverse_w(config: FluxConfiguration) -> tuple:
     wrap = tuple((zeros, -1) for zeros, _ in _zero_sets(config))
     if config.perturbation is not None:
         wrap += _point_pieces(config.perturbation.removed, 1)
-        wrap += _point_pieces(_added_points(config)[0], -1)
+        wrap += _point_pieces(config.perturbation.points, -1)
     return wrap
 
 

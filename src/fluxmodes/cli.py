@@ -144,13 +144,17 @@ def _json_safe(obj):
     return str(obj)
 
 
+def _report_text(report: dict) -> str:
+    return json.dumps(_json_safe(report), indent=2, sort_keys=True) + "\n"
+
+
 def _emit_report(report: dict, manifest: RunManifest, filename: str) -> None:
-    text = json.dumps(_json_safe(report), indent=2, sort_keys=True)
-    sys.stdout.write(text + "\n")
+    text = _report_text(report)
+    sys.stdout.write(text)
     if manifest.output_dir:
         os.makedirs(manifest.output_dir, exist_ok=True)
         with open(os.path.join(manifest.output_dir, filename), "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
 
 
 def _auto_probe(psi, clearance: float) -> ProbeRegion:
@@ -172,14 +176,11 @@ def _auto_probe(psi, clearance: float) -> ProbeRegion:
 
 
 def _quad_record(quad) -> dict:
-    last = quad.radii_trace[-1] if quad.radii_trace else None
-    if isinstance(last, (tuple, list)):
-        last = last[0]
     return {
         "value": quad.value,
         "errorEstimate": quad.error_estimate,
         "flag": quad.flag,
-        "finalRadius": last,
+        "finalRadius": quad.radii_trace[-1][0],
     }
 
 
@@ -362,7 +363,7 @@ def _cmd_grid(args, manifest: RunManifest) -> int:
             "rows": nx * ny,
         }
         with open(os.path.join(manifest.output_dir, "grid.json"), "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(_json_safe(report), indent=2, sort_keys=True) + "\n")
+            fh.write(_report_text(report))
     return EXIT_OK
 
 

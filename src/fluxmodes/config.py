@@ -117,6 +117,16 @@ class Perturbation:
         object.__setattr__(self, "removed", tuple(complex(p) for p in self.removed))
         object.__setattr__(self, "added", tuple(self.added))
 
+    @property
+    def points(self) -> tuple[complex, ...]:
+        """Every added point, set by set."""
+        return tuple(p for a in self.added for p in a.points)
+
+    @property
+    def thetas(self) -> tuple[float, ...]:
+        """The flux of each of `points`."""
+        return tuple(a.theta for a in self.added for _ in a.points)
+
 
 @dataclass(frozen=True)
 class FluxConfiguration:
@@ -605,7 +615,7 @@ def _sites(config: FluxConfiguration, r_max: float, gap: bool = False):
                 raise ConfigError(f"removed point {rm} is not a site")
             keep &= ~hit
         pos, theta = pos[keep], theta[keep]
-        added = [(p, a.theta) for a in pert.added for p in a.points if abs(p) <= r_max]
+        added = [(p, t) for p, t in zip(pert.points, pert.thetas) if abs(p) <= r_max]
         for p, _ in added:
             if (_distances(pos, p) < COINCIDENCE_TOL).any():
                 raise ConfigError(f"added point {p} collides with a regular site")

@@ -33,7 +33,6 @@ import numpy as np
 
 from .config import (
     AddedSet,
-    ChainComponent,
     ConfigError,
     FluxConfiguration,
     FluxSite,
@@ -169,7 +168,7 @@ def _fold_finite(config: FluxConfiguration) -> FluxConfiguration:
     radius = 1.0 + max(
         [abs(s.position) for s in config.finite_sites]
         + [abs(p) for p in pert.removed]
-        + [abs(p) for a in pert.added for p in a.points],
+        + [abs(p) for p in pert.points],
         default=0.0,
     )
     sites = enumerate_support(config, radius)
@@ -222,88 +221,68 @@ def _rule_chains(config: FluxConfiguration, spin: str) -> ZeroModeVerdict:
     chains = config.chains
     one_atom = len(chains) > 1 and all(len(c.offsets) == 1 for c in chains)
     if one_atom and len(line_groups(chains)) == 1:
-        return _rule_collinear(chains, spin)
+        # one-atom chains on a common line with incommensurable periods
+        theorem = "Thm 6.4" if spin == SPIN_PLUS else "Thm 6.4a"
+        names = ("nChains", "sumThetaOverOmega", "sumInvOmega", "minOmega")
+        periods = [abs(c.omega0) for c in chains]
+        return _rule_one_atom(spin, theorem, names, periods, [c.offsets[0].theta for c in chains])
     return _unknown(spin, "", {"nChains": float(len(config.chains)), "minGap": gap})
-
-
-def _rule_collinear(chains: tuple[ChainComponent, ...], spin: str) -> ZeroModeVerdict:
-    """One-atom chains on a common line with incommensurable periods."""
-    periods = [abs(c.omega0) for c in chains]
-    thetas = [c.offsets[0].theta for c in chains]
-    n = len(chains)
-    original_sum = sum(thetas)
-    if spin == SPIN_MINUS:
-        thetas = [1.0 - t for t in thetas]
-        theorem = "Thm 6.4a"
-    else:
-        theorem = "Thm 6.4"
-    total = sum(thetas)
-    ratio = sum(t / p for t, p in zip(thetas, periods))
-    inv = sum(1.0 / p for p in periods)
-    pmin = min(periods)
-    values = {
-        "nChains": float(n),
-        "sumTheta": original_sum,
-        # the remaining quantities are evaluated on the fluxes the active
-        # (possibly mirrored) conditions see
-        "sumThetaOverOmega": ratio,
-        "sumInvOmega": inv,
-        "minOmega": pmin,
-    }
-    if total < 1.0:
-        cond = 1
-    elif ratio > inv - 1.0 / pmin:
-        cond = 2
-    elif n == 2:
-        cond = 3
-    else:
-        values["conditionIndex"] = 0.0
-        return ZeroModeVerdict(spin, UNKNOWN, theorem, values)
-    values["conditionIndex"] = float(cond)
-    return ZeroModeVerdict(spin, EXISTS_INFINITE, theorem, values)
 
 
 # ---------------------------------------------------------------------------
 # R4/R5: lattices without uniform field
 
 
+_LATTICE_THEOREM = "§7.4 lattice theorem"
+
+
 def _rule_lattices(config: FluxConfiguration, spin: str) -> ZeroModeVerdict:
     ud, gap = uniformly_discrete(config)
-    n = len(config.lattices)
+    lats = config.lattices
+    n = len(lats)
     if ud:
         theorem = "Thm 6.5" if n == 1 else "Thm 6.New"
         values = {"nLattices": float(n), "minGap": gap}
         return ZeroModeVerdict(spin, EXISTS_INFINITE, theorem, values)
-    if all(len(l.offsets) == 1 for l in config.lattices):
-        return _rule_simple_lattices(config, spin)
+    if all(len(l.offsets) == 1 for l in lats):
+        # disjoint one-atom lattices whose union is not uniformly discrete
+        names = ("nLattices", "sumThetaOverArea", "sumInvArea", "minArea")
+        areas = [l.basis.area for l in lats]
+        return _rule_one_atom(spin, _LATTICE_THEOREM, names, areas, [l.offsets[0].theta for l in lats])
     return _unknown(spin, "", {"nLattices": float(n), "minGap": gap})
 
 
-def _rule_simple_lattices(config: FluxConfiguration, spin: str) -> ZeroModeVerdict:
-    """Disjoint one-atom lattices whose union is not uniformly discrete."""
-    areas = [l.basis.area for l in config.lattices]
-    thetas = [l.offsets[0].theta for l in config.lattices]
-    n = len(areas)
+def _rule_one_atom(
+    spin: str, theorem: str, names: tuple[str, ...], measures: list[float], thetas: list[float]
+) -> ZeroModeVerdict:
+    """Thm 6.4 (chains, measure = period) and §7.4 (lattices, measure = cell
+    area): existence if sum theta < 1 (condition 1), if sum theta / measure
+    exceeds sum 1 / measure - 1 / min measure (condition 2), or for a pair
+    (condition 3; §7.4 asks the two areas to differ).  The sums are taken
+    over the fluxes the spin's conditions see, mirrored for spin '-'.
+    `names` keys the count, the two sums and the least measure in the
+    verdict's values."""
+    n = len(measures)
     original_sum = sum(thetas)
     if spin == SPIN_MINUS:
         thetas = [1.0 - t for t in thetas]
-    theorem = "§7.4 lattice theorem"
     total = sum(thetas)
-    ratio = sum(t / s for t, s in zip(thetas, areas))
-    inv = sum(1.0 / s for s in areas)
-    smin = min(areas)
+    ratio = sum(t / m for t, m in zip(thetas, measures))
+    inv = sum(1.0 / m for m in measures)
+    least = min(measures)
+    count, ratio_name, inv_name, least_name = names
     values = {
-        "nLattices": float(n),
+        count: float(n),
         "sumTheta": original_sum,
-        "sumThetaOverArea": ratio,
-        "sumInvArea": inv,
-        "minArea": smin,
+        ratio_name: ratio,
+        inv_name: inv,
+        least_name: least,
     }
     if total < 1.0:
         cond = 1
-    elif ratio > inv - 1.0 / smin:
+    elif ratio > inv - 1.0 / least:
         cond = 2
-    elif n == 2 and areas[0] != areas[1]:
+    elif n == 2 and (theorem != _LATTICE_THEOREM or measures[0] != measures[1]):
         cond = 3
     else:
         values["conditionIndex"] = 0.0
@@ -418,15 +397,13 @@ def _rule_perturbed(config: FluxConfiguration, spin: str, r_max: float) -> ZeroM
     base = decide(base_cfg, spin, r_max=r_max)
 
     removed = pert.removed
-    added_pts = [p for a in pert.added for p in a.points]
-    added_thetas = [a.theta for a in pert.added for _ in a.points]
-    points = list(removed) + added_pts
+    points = removed + pert.points
     stats = set_stats(np.asarray(points, dtype=complex), r_max) if points else None
     genus_p = stats.genus if stats else 0
     tau_p = stats.convergence_exponent if stats else 0.0
     values = {
         "nRemoved": float(len(removed)),
-        "nAdded": float(len(added_pts)),
+        "nAdded": float(len(pert.points)),
         "perturbationGenus": float(genus_p),
         "tauPrime": tau_p,
     }
@@ -436,8 +413,8 @@ def _rule_perturbed(config: FluxConfiguration, spin: str, r_max: float) -> ZeroM
         removed_thetas = enumerate_support(base_cfg, 1.0 + max(map(abs, removed))).theta_at(removed)
     is_move = (
         len(removed_thetas) > 0
-        and len(removed_thetas) == len(added_thetas)
-        and np.allclose(sorted(removed_thetas), sorted(added_thetas), atol=1e-12)
+        and len(removed_thetas) == len(pert.thetas)
+        and np.allclose(sorted(removed_thetas), sorted(pert.thetas), atol=1e-12)
     )
     additions_only = not removed
 

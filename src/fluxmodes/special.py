@@ -185,8 +185,6 @@ class _ReducedLattice:
     eta_unit: complex  # eta of period 1 for the unit lattice Z + tau Z
     theta_coeffs: tuple  # (1 + q^(2n), q^(n-1)) per product factor, see _theta_product
     log_theta_const: complex  # -2 sum_n log(1 - q^n) over the same factors
-    coeff_a: tuple  # integer coords of (a, b) in the input basis
-    coeff_b: tuple
     # constants for the caller's basis
     eta1: complex
     eta2: complex
@@ -231,7 +229,6 @@ def _reduced(basis: LatticeBasis) -> _ReducedLattice:
     return _ReducedLattice(
         a=a, b=b, tau=tau, eta_a=eta_a, eta_b=eta_b, eta_unit=eta_unit,
         theta_coeffs=theta_coeffs, log_theta_const=log_const,
-        coeff_a=tuple(ra), coeff_b=tuple(rb),
         eta1=eta1, eta2=eta2, nu=nu, mu=mu, area=area, legendre_residual=legendre,
     )
 

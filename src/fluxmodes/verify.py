@@ -30,7 +30,10 @@ A disc's radial rule is split at the partition's ramp: Gauss-Jacobi on the
 core, where the cut is 1 and the known local power is the weight, and
 Gauss-Legendre on the ramp, with the power and the cut in its weights.  Its
 rows are sampled on a 16-node trapezoid circle, and its error is nested:
-fine vs coarse radial rows plus all vs every other angular node.  The discs
+fine vs coarse radial rows plus all vs every other angular node.  Each disc
+an annulus brings is first bounded from 8 probes, in integrand calls of at
+most _CHUNK_POINTS points; a disc whose bound is below its share of the
+tolerance adds the bound to the error and is not integrated.  The discs
 an annulus integrates are evaluated rule by rule, the rows of as many discs as
 fit in _CHUNK_POINTS points per integrand call, and each disc is reduced on
 its own, so its value does not depend on the discs it shares a call with.
@@ -370,12 +373,14 @@ def _site_disc_integrals(
 
 def _site_disc_bounds(log_abs: Callable, sites: _SiteSet, idx: np.ndarray) -> list[float]:
     """Cheap upper estimates of the site-disc contributions of sites idx,
-    from 8 probes per disc, all sites in one log_abs call."""
+    from 8 probes per disc, in log_abs calls of at most _CHUNK_POINTS points."""
     pos, expo, radius = sites.pos[idx], sites.expo[idx], sites.radius[idx]
     rr = np.array([0.25, 0.75])[None, :] * radius[:, None]
     aa = np.exp(1j * np.array([0.4, 1.97, 3.54, 5.11]))
     Z = (pos[:, None, None] + rr[:, :, None] * aa[None, None, :]).reshape(len(idx), 8)
-    la = np.asarray(log_abs(Z.ravel()), dtype=float).reshape(Z.shape)
+    z = Z.ravel()
+    chunks = [log_abs(z[s : s + _CHUNK_POINTS]) for s in range(0, z.size, _CHUNK_POINTS)]
+    la = np.concatenate([np.asarray(c, dtype=float) for c in chunks]).reshape(Z.shape)
     t = np.max(la - expo[:, None] * np.log(np.abs(Z - pos[:, None])), axis=1)
     return [
         2.0 * math.pi * math.exp(2.0 * ti) * ri ** (2.0 * ei + 2.0) / (2.0 * ei + 2.0)

@@ -409,6 +409,23 @@ def test_collinear_ratio_condition_factor():
     assert 1.8 <= rep.observed_order <= 2.2
 
 
+@pytest.mark.parametrize("case", ["collinear-ratio", "s7.4-lattices-ratio"])
+def test_condition_3_builds_the_condition_2_recipe(case):
+    # condition 3 holds only for a pair with sum theta >= 1, where the
+    # condition 2 construction applies: one sinc or monomial factor, the
+    # other component as an arm
+    cfg = FOLD_CASES[case]
+    v = decide(cfg, "+")
+    assert v.condition_values["conditionIndex"] == 2.0
+    v3 = replace(v, condition_values={**v.condition_values, "conditionIndex": 3.0})
+    want, got = build_zero_modes(cfg, v, 2), build_zero_modes(cfg, v3, 2)
+    assert (got.f_recipe, got.alpha_range, got.member_params) == (
+        want.f_recipe, want.alpha_range, want.member_params
+    )
+    assert [(m.factor, m.decay_hint) for m in got] == [(m.factor, m.decay_hint) for m in want]
+    assert len(got.generator(0).factor) == 2
+
+
 # ---------------------------------------------------------------------------
 # lattice and Landau families
 
@@ -712,6 +729,14 @@ FOLD_CASES = {
         FluxConfiguration(
             lattices=(lattice(2.0, 2.0j, (0.0, 0.5)),),
             perturbation=Perturbation(removed=(0.0,), added=(AddedSet((1.0 + 0.3j,), 0.6),)),
+        )
+    ),
+    "s7.4-lattices-ratio": norm(
+        FluxConfiguration(
+            lattices=(
+                lattice(1.0, 1.0j, (0.0, 0.7)),
+                lattice(math.sqrt(2.0), math.sqrt(2.0) * 1j, (0.1 + 0.1j, 0.6)),
+            )
         )
     ),
     "star": norm(FluxConfiguration(star=StarComponent(order=3, theta=0.5))),

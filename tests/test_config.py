@@ -147,6 +147,20 @@ class TestEnumeration:
         rad = [abs(w) for w in enumerate_support(cfg, 6.0).pos.tolist()]
         assert rad == sorted(rad)
 
+    def test_added_sets_flattened_in_order(self):
+        pert = Perturbation(
+            removed=(0.0,), added=(AddedSet((0.5 + 0.5j, -1.5), 0.3), AddedSet((0.5j,), 0.2))
+        )
+        assert pert.points == (0.5 + 0.5j, -1.5 + 0j, 0.5j)
+        assert pert.thetas == (0.3, 0.3, 0.2)
+        assert Perturbation(removed=(1.0,)).points == Perturbation().thetas == ()
+        cfg = FluxConfiguration(
+            lattices=(LatticeComponent(SQUARE, (FluxSite(0.0, 0.5),)),), perturbation=pert
+        )
+        sites = config_module.unsorted_support(cfg, 3.0)
+        assert sites.pos[-3:].tolist() == list(pert.points)
+        assert sites.theta[-3:].tolist() == list(pert.thetas)
+
     def test_added_collision_rejected(self):
         cfg = FluxConfiguration(
             finite_sites=(FluxSite(1.0, 0.5),),

@@ -4,6 +4,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
 from fluxmodes.config import (
     AddedSet,
@@ -291,6 +293,54 @@ def test_equal_area_incommensurable_lattices_unknown():
     assert v.status == UNKNOWN
     assert v.condition_values["conditionIndex"] == 0.0
     assert decide(cfg, "-").status == UNKNOWN
+
+
+@pytest.mark.parametrize("thetas", [(0.5, 0.5), (0.25, 0.75), (0.3, 0.7)])
+def test_equal_area_lattice_pair_summing_to_one_unknown(thetas):
+    # condition 3 of §7.4 needs two different areas, unlike Thm 6.4's, so an
+    # equal-area pair whose fluxes sum to 1 for both spins meets no condition
+    rot = complex(math.cos(0.3), math.sin(0.3))
+    lats = (lattice(1.0, 1.0j, (0.0, thetas[0])), lattice(rot, 1.0j * rot, (0.1 + 0.1j, thetas[1])))
+    assert lats[0].basis.area == lats[1].basis.area
+    cfg = FluxConfiguration(lattices=lats)
+    for spin in "+-":
+        seen = thetas if spin == "+" else [1.0 - t for t in thetas]
+        assert sum(seen) == 1.0
+        v = decide(cfg, spin)
+        assert (v.status, v.theorem) == (UNKNOWN, "§7.4 lattice theorem")
+        assert v.condition_values["conditionIndex"] == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["chains", "lattices"]),
+    ratio=st.floats(1.01, 8.0),
+    thetas=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
+)
+def test_one_atom_pair_with_flux_sum_at_least_one_meets_condition_2(kind, ratio, thetas):
+    # with measures m1 < m2 and t1 + t2 >= 1, t1 / m1 > (1 - t2) / m2: the
+    # weighted-sum condition 2 holds before the pair condition 3 is tried
+    if kind == "chains":
+        cfg = FluxConfiguration(chains=(chain(1.0, (0.0, thetas[0])), chain(ratio, (0.3, thetas[1]))))
+        theorems = {"+": "Thm 6.4", "-": "Thm 6.4a"}
+    else:
+        side = math.sqrt(ratio)
+        lats = (lattice(1.0, 1.0j, (0.0, thetas[0])), lattice(side, side * 1j, (0.1 + 0.2j, thetas[1])))
+        cfg = FluxConfiguration(lattices=lats)
+        theorems = {"+": "§7.4 lattice theorem", "-": "§7.4 lattice theorem"}
+    # neither reaches the one-atom rule: a commensurable pair, which is
+    # uniformly discrete, and a refused one, whose lattices share a site or
+    # whose chain periods sit near a fraction of large denominator (their
+    # merge would carry more than 100 000 residues)
+    try:
+        assume(not uniformly_discrete(cfg)[0])
+    except ConfigError:
+        reject()
+    for spin in "+-":
+        seen = thetas if spin == "+" else [1.0 - t for t in thetas]
+        v = decide(cfg, spin)
+        assert (v.status, v.theorem) == (EXISTS_INFINITE, theorems[spin])
+        assert v.condition_values["conditionIndex"] == (2.0 if sum(seen) >= 1.0 else 1.0)
 
 
 def test_multi_atom_incommensurable_lattices_unknown():

@@ -205,22 +205,39 @@ def _landau_lattice(eta0):
     return cfg, decide(cfg, "-")
 
 
-@pytest.mark.parametrize("family", ["lattice", "chain", "finite"])
+@pytest.mark.parametrize("family", ["lattice", "chain", "finite", "star"])
 def test_batched_site_disc_bounds_bit_identical(family):
     if family == "lattice":
         cfg, v = _landau_lattice(0.3)
         psi = build_zero_modes(cfg, v, 1).generator(0)
     elif family == "chain":
         psi = _chain_mode()
+    elif family == "star":  # 1297 sites: 10 376 probes, in four calls
+        psi = _star_mode()
     else:
         psi = _two_site_mode()
     sites = _site_set(psi.singular_sites(6.0))
     idx = np.arange(sites.pos.size)
-    got = _site_disc_bounds(psi.log_abs, sites, idx)
+    counting = CountingPsi(psi)
+    got = _site_disc_bounds(counting.log_abs, sites, idx)
     want = [
         _site_disc_bound_reference(psi.log_abs, sites.pos[i], sites.expo[i], sites.radius[i]) for i in idx
     ]
     assert got == want
+    assert max(counting.sizes) <= _CHUNK_POINTS
+
+
+def test_star_norm_bounds_in_chunks(monkeypatch):
+    # the order-3 star's annuli to R = 8 and 16 bring 2688 and 21 504 new
+    # sites, 8 probes each: their bounds go in calls of _CHUNK_POINTS, and
+    # the certificate is the one that a single call per annulus gives
+    psi = CountingPsi(_star_mode())
+    res = l2_norm_squared(psi, 1e-8, 1e-1)
+    assert res.flag == CONVERGENT
+    assert res.radii_trace[-1][0] == 16.0
+    assert max(psi.sizes) <= _CHUNK_POINTS
+    monkeypatch.setattr(verify, "_CHUNK_POINTS", 10**6)
+    assert l2_norm_squared(_star_mode(), 1e-8, 1e-1) == res
 
 
 def test_divergence_settled_by_bulk_skips_site_discs(monkeypatch):
