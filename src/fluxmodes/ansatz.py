@@ -49,7 +49,7 @@ from .config import (
     parallel_directions,
     unsorted_support,
 )
-from .decide import DEFAULT_R_MAX, ZeroModeVerdict, decide
+from .decide import DEFAULT_R_MAX, ZeroModeVerdict, decide, fold_loose_sites
 from .special import (
     DomainError,
     LatticeBasis,
@@ -812,6 +812,7 @@ def _plus_recipe(
 ) -> _Recipe:
     thm = verdict.theorem
     cond = int(verdict.condition_values.get("conditionIndex", 0))
+    config = fold_loose_sites(config)  # the configuration `verdict` answers for
     if thm == "Thm 6.1":
         return _finite_recipe(config, verdict, count)
     if thm == "Thm 6.3":

@@ -375,7 +375,8 @@ def merge_collinear_chains(chains: Sequence[ChainComponent]) -> ChainComponent:
 
     All period ratios must be rational (continued-fraction detection with
     denominators up to 1e6); otherwise the union is dense in the line, not
-    uniformly discrete, and a ChainMergeError is raised.  Coincident points
+    uniformly discrete, and a ChainMergeError is raised.  So it is when the
+    merged chain would carry more than 100 000 residues.  Coincident points
     get their fluxes summed, then renormalized to (0, 1).
     """
     chains = list(chains)
@@ -413,7 +414,8 @@ def merge_collinear_chains(chains: Sequence[ChainComponent]) -> ChainComponent:
     # collect residues of every chain modulo the merged period
     total = sum(round(period / abs(p)) * len(c.offsets) for c, p in zip(chains, periods))
     if total > 100_000:
-        raise ConfigError("merged chain would carry too many residues to be usable")
+        # a ratio near a fraction of large denominator: no usable period
+        raise ChainMergeError("merged chain would carry too many residues to be usable")
     sites: list[FluxSite] = []
     for ch, p in zip(chains, periods):
         step = abs(p)
@@ -506,35 +508,54 @@ _PAIRWISE_MAX = 64  # up to this many points every pair is measured at once
 # the minimum-gap search halves its first cells while one holds more points
 _CELL_POINTS = 32
 _BLOCK_POINTS = 1024  # points whose candidate pairs are measured together
+_PAIRWISE_NEAREST = 1 << 14  # up to this many (query, point) pairs, nearest neighbours by all pairs
 
 
-def _close_pairs(pos: np.ndarray, cell: float, limit: float):
-    """The most points in one cell, and blocks (i, j, d) of every pair of
-    points at most `limit` <= `cell` apart, each pair in one block once.
+class CellIndex:
+    """Points binned in square cells of about side `cell`, sorted by int64
+    cell key: the one neighbour search over site sets.
 
-    The points are binned in square cells of about side `cell`, sorted by
-    int64 cell key; each meets the later points of its own cell and the
-    points of its 4 forward neighbours (+1 in y; +1 in x and -1, 0, +1 in y),
-    two contiguous key ranges found with searchsorted.  d is
-    sqrt(dx*dx + dy*dy), the rounding of a distance matrix and of a k-d
-    tree.  The blocks are generated lazily, _BLOCK_POINTS points at a time.
+    Keys run column by column, so the cells of one column between two rows
+    are one contiguous key range, found with searchsorted.  `pairs` lists the
+    close pairs among the points (the minimum gap); `near` lists the points
+    around query points (nearest neighbours, and the site discs that can
+    reach a polar box of the quadrature).  Distances are sqrt(dx*dx + dy*dy),
+    the rounding of a distance matrix and of a k-d tree.
     """
-    x, y = pos.real, pos.imag
-    x0, y0 = x.min(), y.min()
-    span = max(x.max() - x0, y.max() - y0)
-    # widened so that two points at most `cell` apart never lie two cells
-    # apart: the rounding of d and of the cell coordinates is below
-    # (cell + span) * 2**-51, and a cell above span * 2**11 holds every point
-    side = cell + span * 2.0**-40
-    iy = ((y - y0) / side).astype(np.int64)
-    width = int(iy.max()) + 2  # row width - 1 stays empty: no key wraps into a neighbour column
-    key = ((x - x0) / side).astype(np.int64) * width + iy
-    order = np.argsort(key)
-    key = key[order]
-    crowd = int(np.diff(np.flatnonzero(np.diff(key, prepend=-1, append=-1))).max())  # fullest cell
 
-    def blocks():
-        xs, ys = x[order], y[order]
+    def __init__(self, pos: np.ndarray, cell: float):
+        self.pos = pos
+        x, y = pos.real, pos.imag
+        x0, y0 = x.min(), y.min()
+        self.corner = complex(x0, y0)
+        span = max(x.max() - x0, y.max() - y0)
+        # widened so that two points at most `cell` apart never lie two cells
+        # apart: the rounding of d and of the cell coordinates is below
+        # (cell + span) * 2**-51, and a cell above span * 2**11 holds every point
+        self.side = cell + span * 2.0**-40
+        # far above what rounding moves a coordinate by: `near` widens by it
+        self.slack = (span + abs(x0) + abs(y0)) * 2.0**-40
+        iy = ((y - y0) / self.side).astype(np.int64)
+        self.width = int(iy.max()) + 2  # row width - 1 stays empty: no key wraps into a neighbour column
+        key = ((x - x0) / self.side).astype(np.int64) * self.width + iy
+        del iy
+        self.order = np.argsort(key)
+        self.key = key[self.order]
+        self.top = np.array([self.key[-1] // self.width, self.width - 2], dtype=float)  # the last column and row
+
+    @property
+    def crowd(self) -> int:
+        """The most points in one cell."""
+        return int(np.diff(np.flatnonzero(np.diff(self.key, prepend=-1, append=-1))).max())
+
+    def pairs(self, limit: float):
+        """Blocks (i, j, d) of every pair of points at most `limit` <= `cell`
+        apart, each pair in one block once, generated lazily _BLOCK_POINTS
+        points at a time.  Each point meets the later points of its own cell
+        and the points of its 4 forward neighbours (+1 in y; +1 in x and -1,
+        0, +1 in y): two key ranges."""
+        key, width = self.key, self.width
+        xs, ys = self.pos.real[self.order], self.pos.imag[self.order]
         for lo in range(0, len(key), _BLOCK_POINTS):
             k = key[lo : lo + _BLOCK_POINTS]
             rank = np.arange(lo, lo + len(k))
@@ -546,9 +567,83 @@ def _close_pairs(pos: np.ndarray, cell: float, limit: float):
             dx, dy = xs[a] - xs[b], ys[a] - ys[b]
             d = np.sqrt(dx * dx + dy * dy)
             keep = d <= limit
-            yield order[a[keep]], order[b[keep]], d[keep]
+            yield self.order[a[keep]], self.order[b[keep]], d[keep]
 
-    return crowd, blocks()
+    def near(self, points: np.ndarray, reach) -> tuple[np.ndarray, np.ndarray]:
+        """(i, j): each query points[i] with every point j in the cells that
+        meet the square of half-side `reach` (one value, or one per query)
+        around it, one key range per column.  They include every point whose
+        rounded distance from the query is at most `reach`; the caller's
+        exact test follows."""
+        if len(points) * len(self.key) <= _PAIRWISE_MAX**2:  # every pair
+            return np.repeat(np.arange(len(points)), len(self.key)), np.tile(np.arange(len(self.key)), len(points))
+        pad = np.reshape((reach * (1.0 + 2.0**-40) + self.slack) / self.side, (-1, 1))
+        u = (points - self.corner).view(np.float64).reshape(-1, 2) / self.side
+        lo = np.minimum(np.maximum(np.floor(u - pad), 0.0), self.top + 1.0)  # first (column, row)
+        n = np.maximum(np.minimum(np.floor(u + pad), self.top) - lo + 1.0, 0.0).astype(np.int64)
+        n_col = n[:, 0] * (n[:, 1] > 0)
+        q = np.repeat(np.arange(n_col.size), n_col)
+        first = (lo[:, 0] * self.width + lo[:, 1]).astype(np.int64)[q]
+        first += (np.arange(q.size) - np.repeat(np.cumsum(n_col) - n_col, n_col)) * self.width
+        start = np.searchsorted(self.key, first)
+        count = np.searchsorted(self.key, first + n[q, 1]) - start
+        i = np.repeat(q, count)
+        j = np.arange(i.size) + np.repeat(start - (np.cumsum(count) - count), count)
+        return i, self.order[j]
+
+
+def _sparse_cells(pos: np.ndarray) -> tuple[CellIndex, float]:
+    """A cell index of the points and its cell: from the mean spacing (over
+    the bounding box, or along it for a chain), halved while a cell holds more
+    than _CELL_POINTS points, down to the smallest cell whose int64 keys
+    cannot overflow and at least COINCIDENCE_TOL."""
+    n = len(pos)
+    w, h = float(np.ptp(pos.real)), float(np.ptp(pos.imag))
+    floor = max(max(w, h) * 2.0**-30, COINCIDENCE_TOL)
+    cell = max(math.sqrt(w * h / n), max(w, h) / n, floor)
+    cells = CellIndex(pos, cell)
+    while cells.crowd > _CELL_POINTS and cell > floor:
+        cell = max(0.5 * cell, floor)
+        cells = CellIndex(pos, cell)
+    return cells, cell
+
+
+def nearest_gaps(pos: np.ndarray, limit: float, which: np.ndarray | None = None) -> np.ndarray:
+    """Distance from each point pos[which] (every point by default) to the
+    nearest other point, inf where none lies within `limit`.
+
+    Exact, and rounded as a k-d tree rounds it.  Each query asks the index of
+    `_sparse_cells` for the points within `reach`, from one cell side up,
+    4x wider each round, until one lies within reach, which makes the
+    nearest exact, or reach is `limit`; _BLOCK_POINTS queries at a time.
+    """
+    which = np.arange(len(pos)) if which is None else np.asarray(which)
+    if len(pos) * which.size <= _PAIRWISE_NEAREST:
+        x, y = pos.real, pos.imag
+        dx, dy = x[which, None] - x, y[which, None] - y
+        d2 = dx * dx + dy * dy
+        d2[np.arange(which.size), which] = math.inf
+        gaps = np.sqrt(d2.min(axis=1, initial=math.inf))  # sqrt is monotone: the nearest's distance
+        return np.where(gaps <= limit, gaps, math.inf)
+    gaps = np.full(which.size, math.inf)
+    cells, reach = _sparse_cells(pos)
+    todo = np.arange(which.size)
+    while todo.size:
+        reach = min(reach, limit)
+        for s in range(0, todo.size, _BLOCK_POINTS):
+            t = todo[s : s + _BLOCK_POINTS]
+            i, j = cells.near(pos[which[t]], reach)
+            other = j != which[t[i]]
+            i, j = i[other], j[other]
+            dz = pos[which[t[i]]] - pos[j]
+            best = np.full(t.size, math.inf)
+            np.minimum.at(best, i, np.sqrt(dz.real * dz.real + dz.imag * dz.imag))
+            gaps[t] = np.where(best <= reach, best, math.inf)
+        if reach >= limit:
+            break
+        todo = todo[gaps[todo] == math.inf]
+        reach *= 4.0
+    return gaps
 
 
 def _min_gap(blocks, bound: float) -> tuple[float, np.ndarray]:
@@ -570,26 +665,18 @@ def _apart(pos: np.ndarray, msg: str, bound: float) -> float:
         i, j = np.triu_indices(n, 1)
         dz = pos[i] - pos[j]
         gap, close = _min_gap([(i, j, np.sqrt(dz.real * dz.real + dz.imag * dz.imag))], bound)
+    elif bound < math.inf:
+        # cells as small as the keys allow: a star's rays are far denser than its mean
+        floor = max(float(np.ptp(pos.real)), float(np.ptp(pos.imag))) * 2.0**-30
+        gap, close = _min_gap(CellIndex(pos, max(bound, floor)).pairs(bound), bound)
     else:
-        w, h = float(np.ptp(pos.real)), float(np.ptp(pos.imag))
-        floor = max(w, h) * 2.0**-30  # the smallest cell whose int64 keys cannot overflow
-        if bound < math.inf:
-            # cells as small as the keys allow: a star's rays are far denser than its mean
-            gap, close = _min_gap(_close_pairs(pos, max(bound, floor), bound)[1], bound)
-        else:
-            # from the mean spacing (over the bounding box, or along it for a
-            # chain), halved while a cell is crowded, the cell doubles until a
-            # pair lies within it; the pairs then include the closest one
-            floor = max(floor, COINCIDENCE_TOL)  # so every coincidence is a pair
-            cell = max(math.sqrt(w * h / n), max(w, h) / n, floor)
-            crowd, blocks = _close_pairs(pos, cell, cell)
-            while crowd > _CELL_POINTS and cell > floor:
-                cell = max(0.5 * cell, floor)
-                crowd, blocks = _close_pairs(pos, cell, cell)
-            gap, close = _min_gap(blocks, bound)
-            while gap == math.inf:
-                cell *= 2.0
-                gap, close = _min_gap(_close_pairs(pos, cell, cell)[1], bound)
+        # the cell doubles until a pair lies within it; the pairs then
+        # include the closest one
+        cells, cell = _sparse_cells(pos)
+        gap, close = _min_gap(cells.pairs(cell), bound)
+        while gap == math.inf:
+            cell *= 2.0
+            gap, close = _min_gap(CellIndex(pos, cell).pairs(cell), bound)
     if close.size:
         dup = pos[close]
         raise ConfigError(f"{msg}: duplicate site at {dup[np.lexsort((dup.imag, dup.real))[0]]}")

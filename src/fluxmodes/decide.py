@@ -130,7 +130,7 @@ def decide(
         return decide(_fold_finite(config), spin, r_max=r_max)
     # loose sites next to infinite components act as a finite added set
     if infinite and config.finite_sites:
-        return decide(_sites_as_additions(config), spin, r_max=r_max)
+        return decide(fold_loose_sites(config), spin, r_max=r_max)
 
     if config.perturbation is not None:
         return _rule_perturbed(config, spin, r_max)
@@ -176,7 +176,12 @@ def _fold_finite(config: FluxConfiguration) -> FluxConfiguration:
     return replace(config, finite_sites=finite, perturbation=None)
 
 
-def _sites_as_additions(config: FluxConfiguration) -> FluxConfiguration:
+def fold_loose_sites(config: FluxConfiguration) -> FluxConfiguration:
+    """The configuration the rules answer for: loose finite sites next to
+    chains, lattices or a star join the perturbation as one added set each;
+    any other configuration is returned as it is."""
+    if not (config.finite_sites and (config.chains or config.lattices or config.star)):
+        return config
     pert = config.perturbation or Perturbation()
     added = tuple(pert.added) + tuple(
         AddedSet((s.position,), s.theta) for s in config.finite_sites
@@ -198,9 +203,10 @@ def _monomial_count(excess: float) -> int:
 
 def _rule_finite(sites: tuple[FluxSite, ...], spin: str) -> ZeroModeVerdict:
     n = len(sites)
-    total = sum(s.theta for s in sites)
-    values = {"nSites": float(n), "sumTheta": total}
-    # spin '-' mirrors to 1-theta sums: excess = (n - total) - 1
+    values = {"nSites": float(n), "sumTheta": sum(s.theta for s in sites)}
+    # the sharp threshold needs the correctly rounded sum, not one summed in
+    # order; spin '-' mirrors to 1-theta sums: excess = (n - total) - 1
+    total = math.fsum(s.theta for s in sites)
     excess = (total - 1.0) if spin == SPIN_PLUS else (n - total - 1.0)
     if excess > 0.0:
         mult = _monomial_count(excess)

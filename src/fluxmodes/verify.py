@@ -21,10 +21,13 @@ Wave functions and potentials are consumed through a duck-typed protocol
 
 The quadrature integrates exp(2 log_abs) over nested discs R, 2R, 4R, ...
 Each site owns a disc of radius 0.1 x (nearest-neighbor distance), at most
-0.5, so every site within 5 of it can set it; each annulus lists those too,
-and a site keeps one radius in every annulus.  A C^inf partition of unity
-blends the site discs into the polar panels of the bulk: each panel asks a
-k-d tree once for the sites whose discs can reach its nodes.  The discs are
+0.5, so every site within 5 of it can set it.  An annulus r < |z| <= R keeps
+only the sites that can cut it, r - 1 < |pos| <= R + 1, and lists the sites
+within 5 of those to set their radii: a site keeps one radius in every
+annulus, and is searched in one annulus, or two near an edge.  One exact cell
+search, config.CellIndex, finds the nearest neighbours and, for each polar
+panel of the bulk, the sites whose discs can reach its nodes; a C^inf
+partition of unity blends those discs into the panel.  The discs are
 disjoint, so a node inside one takes that site's ramp, as its nearest site's.
 A disc's radial rule is split at the partition's ramp: Gauss-Jacobi on the
 core, where the cut is 1 and the known local power is the weight, and
@@ -50,19 +53,19 @@ rel_tol * value) is Convergent, reporting exactly that value and that error.
 Growth by factor >= DIVERGENCE_RATIO across two consecutive doublings flags
 divergence, without the site discs once the bulk alone shows it.
 The Gauss rules come from scipy, imported when the first rule is built:
-importing this module loads no scipy.
+importing this module loads no scipy, and the rules need only scipy.special.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .config import CellIndex, nearest_gaps
 from .special import DomainError
 
 CONVERGENT = "Convergent"
@@ -76,8 +79,9 @@ DEFAULT_MESHES = (1e-2, 5e-3, 2.5e-3)
 _INITIAL_RADIUS = 4.0
 _BUMP_LO, _BUMP_HI = 0.35, 0.95
 # a site's disc radius: this share of its nearest-neighbor distance, at most
-# _DISC_RADIUS_MAX, so only sites within _DISC_RADIUS_MAX / _DISC_SHARE set it
+# _DISC_RADIUS_MAX, so only sites within _DISC_REACH set it
 _DISC_SHARE, _DISC_RADIUS_MAX = 0.1, 0.5
+_DISC_REACH = _DISC_RADIUS_MAX / _DISC_SHARE
 _MAX_PANELS = 40_000
 # site-disc rules: (core, ramp) radial rows of the fine and coarse rules,
 # and trapezoid nodes on each row's circle
@@ -86,6 +90,7 @@ _DISC_ROWS_COARSE = (8, 16)
 _ANGULAR_NODES = 16
 _RING = np.exp(2j * math.pi * np.arange(_ANGULAR_NODES) / _ANGULAR_NODES)
 _CHUNK_POINTS = 3072
+_CUTOFF_CELLS = 256  # so that a polar box spans few columns of the cutoff's cell index
 
 
 class DecayHint(NamedTuple):
@@ -157,36 +162,43 @@ class _SiteSet(NamedTuple):
     pos: np.ndarray
     expo: np.ndarray
     radius: np.ndarray
-    tree: object  # cKDTree of pos; None without sites
+    cells: CellIndex | None  # of pos; None without sites
 
 
-def _site_set(sites: Sites) -> _SiteSet:
+def _site_set(sites: Sites, lo: float = -math.inf, hi: float = math.inf) -> _SiteSet:
+    """The sites with fractional exponents and lo < |pos| <= hi, their disc
+    radii and a cell index of them.  A radius comes from the nearest listed
+    site within _DISC_REACH, so only the sites beyond lo - _DISC_REACH are
+    searched."""
     if np.any(sites.expo <= -1.0):
         raise DomainError("local exponent <= -1: |psi|^2 is not integrable")
     # integer local exponents are smooth; only fractional powers need care
     frac = np.abs(sites.expo - np.round(sites.expo)) > 1e-9
     pos, expo = sites.pos[frac], sites.expo[frac]
-    if not pos.size:
-        return _SiteSet(pos, expo, np.zeros(0), None)
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(np.column_stack([pos.real, pos.imag]))
-    nn = tree.query(tree.data, k=2)[0][:, 1]  # inf for a lone site
+    r = np.abs(pos)
+    keep = np.nonzero((r > lo) & (r <= hi))[0]
+    if not keep.size:
+        return _SiteSet(pos[keep], expo[keep], np.zeros(0), None)
+    near = np.nonzero(r > lo - _DISC_REACH - 1.0)[0]
+    nn = nearest_gaps(pos[near], _DISC_REACH, np.searchsorted(near, keep))  # inf beyond the reach
     radius = np.minimum(_DISC_SHARE * nn, _DISC_RADIUS_MAX)
     if np.any(radius <= 0.0):
         raise DomainError("coincident singular sites")
-    return _SiteSet(pos, expo, radius, tree)
+    pos = pos[keep]
+    # cells no smaller than the largest disc, and at most _CUTOFF_CELLS across
+    cell = max(float(radius.max()), max(np.ptp(pos.real), np.ptp(pos.imag)) / _CUTOFF_CELLS)
+    return _SiteSet(pos, expo[keep], radius, CellIndex(pos, cell))
 
 
 class _Integrand:
     """exp(2 log_abs) times a smooth cutoff vanishing inside site discs.
 
-    The nodes come one row per polar box.  Each box asks the k-d tree once
-    for the sites within its spread (the largest node distance from the
-    box's centre) plus the largest disc radius, and keeps those within its
-    spread plus their own radius: only their discs can hold a node of the
-    box.  Site discs are disjoint (radius <= 0.1 x the distance to the
-    nearest of the sites within 5, which l2_norm_squared lists with each
+    The nodes come one row per polar box.  Each box asks the site set's cell
+    index once for the sites in the cells within its spread (the largest node
+    distance from the box's centre) plus the largest disc radius, and keeps
+    those within its spread plus their own radius: only their discs can hold
+    a node of the box.  Site discs are disjoint (radius <= 0.1 x the distance
+    to the nearest site within 5, which l2_norm_squared lists with each
     annulus), so a node inside one is nearer its center than any other
     site, and the cutoff there is the ramp of that site alone; every other
     node keeps 1.
@@ -199,20 +211,19 @@ class _Integrand:
     def cutoff(self, Z: np.ndarray) -> np.ndarray:
         fac = np.ones(Z.shape)
         s = self.sites
-        if s.tree is None:
+        if s.cells is None:
             return fac
         center = Z.mean(axis=1)
         spread = np.abs(Z - center[:, None]).max(axis=1)
-        near = s.tree.query_ball_point(np.column_stack([center.real, center.imag]), spread + s.radius.max())
-        box = np.repeat(np.arange(len(near)), [len(i) for i in near])
-        site = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp, count=box.size)
+        box, site = s.cells.near(center, spread + s.radius.max())
         keep = np.abs(center[box] - s.pos[site]) <= spread[box] + s.radius[site]
         box, site = box[keep], site[keep]
         dist = np.abs(Z[box] - s.pos[site, None])
         pair, node = np.nonzero(dist < s.radius[site, None])
-        i = site[pair]
-        t = (dist[pair, node] / s.radius[i] - _BUMP_LO) / (_BUMP_HI - _BUMP_LO)
-        fac[box[pair], node] = _smooth_rise(t)
+        if pair.size:  # most calls hold no node in a disc
+            i = site[pair]
+            t = (dist[pair, node] / s.radius[i] - _BUMP_LO) / (_BUMP_HI - _BUMP_LO)
+            fac[box[pair], node] = _smooth_rise(t)
         return fac
 
     def __call__(self, Z: np.ndarray) -> np.ndarray:
@@ -487,9 +498,9 @@ def l2_norm_squared(psi, abs_tol: float = 1e-8, rel_tol: float = 1e-6) -> Quadra
     R = _INITIAL_RADIUS
 
     while R <= RADIUS_CAP:
-        # the sites within R + 1 cut the bulk; those that can set their
-        # radii come too, so each site keeps one radius in every annulus
-        sites = _site_set(psi.singular_sites(R + 1.0 + _DISC_RADIUS_MAX / _DISC_SHARE))
+        # the sites within 1 of the annulus cut it; those that can set their
+        # radii are listed too, so each site keeps one radius in every annulus
+        sites = _site_set(psi.singular_sites(R + 1.0 + _DISC_REACH), r_prev - 1.0, R + 1.0)
         F = _Integrand(psi.log_abs, sites)
         tol_here = 0.1 * max(abs_tol, rel_tol * total)
         inc, e_bulk = _region_integral(F, max(r_prev, 0.0), R, tol_here, 0.1 * rel_tol)

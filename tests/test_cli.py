@@ -162,6 +162,22 @@ def test_verify_unknown_inconclusive(tmp_path, capsys):
     assert "members" not in doc
 
 
+@pytest.mark.parametrize("spin", ["+", "-"])
+def test_verify_chain_with_loose_site(tmp_path, capsys, spin):
+    # decide folds the loose site into an added set and answers Thm 7.1;
+    # the recipe is built from that folded configuration, where it once
+    # recursed on the unfolded one without end
+    doc = {
+        "chains": [{"omega0": [1.0, 0.0], "offsets": [{"kappa": [0.0, 0.0], "theta": 0.5}]}],
+        "finite": [{"position": [0.5, 1.5], "theta": 0.4}],
+    }
+    code, out = run_json(capsys, "verify", write(tmp_path, doc), "--spin", spin, "--tol-rel", "1e-2")
+    assert code == 0
+    assert out["status"] == "PASS"
+    assert out["verdict"]["theorem"] == "Thm 7.1"
+    assert [m["quadrature"]["flag"] for m in out["members"]] == ["Convergent"]
+
+
 def test_verify_chain_count(tmp_path, capsys):
     chain = {
         "chains": [
@@ -566,14 +582,17 @@ with contextlib.redirect_stdout(io.StringIO()):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         codes.append(main(["verify", config, "--spin", "+", "--tol-rel", "1e-2"]))
-print(json.dumps({"codes": codes, "loaded": loaded, "status": json.loads(out.getvalue())["status"]}))
+spatial = sorted(m for m in sys.modules if m.startswith("scipy.spatial"))
+status = json.loads(out.getvalue())["status"]
+print(json.dumps({"codes": codes, "loaded": loaded, "spatial": spatial, "status": status}))
 """
 
 
 def test_decide_grid_special_load_no_scipy(tmp_path):
-    # only the quadrature needs scipy: decide and grid on a lattice (more
-    # sites than the pairwise gap path takes) and the special kernels load
-    # none of it in a fresh process, and a verify afterwards still passes
+    # only the quadrature needs scipy, and only its Gauss rules: decide and
+    # grid on a lattice (more sites than the pairwise gap path takes) and the
+    # special kernels load none of it in a fresh process, and a verify
+    # afterwards passes without scipy.spatial
     lattice = {
         "lattices": [
             {"omega1": [2.0, 0.0], "omega2": [0.0, 2.0], "offsets": [{"kappa": [0.0, 0.0], "theta": 0.5}]}
@@ -587,7 +606,7 @@ def test_decide_grid_special_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc == {"codes": [0, 0, 0, 0], "loaded": [], "status": "PASS"}
+    assert doc == {"codes": [0, 0, 0, 0], "loaded": [], "spatial": [], "status": "PASS"}
 
 
 def test_config_round_trip():

@@ -107,6 +107,12 @@ class TestChainMerge:
                 [chain(1.0, (0.0, 0.5)), chain(math.sqrt(2), (0.25, 0.5))]
             )
 
+    def test_ratio_near_a_large_denominator_rejected(self):
+        # 1.666078511551902 lies within 1e-13 of a fraction of denominator
+        # below 1e6: the merged chain would carry over 100 000 residues
+        with pytest.raises(ChainMergeError, match="too many residues"):
+            merge_collinear_chains([chain(1.0, (0.0, 0.5)), chain(1.666078511551902, (0.3, 0.5))])
+
     def test_merge_preserves_point_set(self):
         c1 = chain(1.0, (0.0, 0.3))
         c2 = chain(2.0, (0.5, 0.4))
@@ -461,11 +467,11 @@ GAP_SETS = _gap_sets()
 
 
 class TestCellSearchOracle:
-    """_close_pairs and _apart against a distance matrix and a k-d tree."""
+    """The cell index and _apart against a distance matrix and a k-d tree."""
 
     @staticmethod
     def _pairs(pos, cell, limit):
-        i, j, d = (np.concatenate(col) for col in zip(*config_module._close_pairs(pos, cell, limit)[1]))
+        i, j, d = (np.concatenate(col) for col in zip(*config_module.CellIndex(pos, cell).pairs(limit)))
         return sorted(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist(), d.tolist()))
 
     @staticmethod
@@ -509,6 +515,74 @@ class TestCellSearchOracle:
         expect = _apart_outcome(_tree_apart, near, bound)
         assert expect[0] == "duplicate"
         assert _apart_outcome(config_module._apart, near, bound) == expect
+
+    @pytest.mark.parametrize("name", sorted(GAP_SETS))
+    @pytest.mark.parametrize("limit", [0.3, 5.0, math.inf])
+    def test_nearest_gaps_match_tree(self, name, limit):
+        from scipy.spatial import cKDTree
+
+        pos = GAP_SETS[name]
+        xy = np.column_stack([pos.real, pos.imag])
+        nn = cKDTree(xy).query(xy, k=2)[0][:, 1]
+        want = np.where(nn <= limit, nn, math.inf)
+        assert _bits(config_module.nearest_gaps(pos, limit)) == _bits(want)
+        which = np.random.default_rng(len(pos)).permutation(len(pos))[: len(pos) // 3]
+        assert _bits(config_module.nearest_gaps(pos, limit, which)) == _bits(want[which])
+
+    @pytest.mark.parametrize("name", sorted(GAP_SETS))
+    @pytest.mark.parametrize("cell", [0.05, 0.5, 3.0])
+    def test_near_lists_every_point_within_reach(self, name, cell):
+        # queries at the points, among them and far outside them, with
+        # reaches from a fraction of a cell to many cells
+        pos = GAP_SETS[name]
+        rng = np.random.default_rng(len(pos))
+        x0, x1, y0, y1 = pos.real.min(), pos.real.max(), pos.imag.min(), pos.imag.max()
+        spots = rng.uniform(x0 - 3, x1 + 3, 60) + 1j * rng.uniform(y0 - 3, y1 + 3, 60)
+        queries = np.concatenate([pos[:60], spots, [1e3 + 1e3j, -1e3]])
+        reach = cell * rng.uniform(0.0, 4.0, queries.size)
+        i, j = config_module.CellIndex(pos, cell).near(queries, reach)
+        assert len(set(zip(i.tolist(), j.tolist()))) == i.size  # each pair once
+        dz = queries[:, None] - pos
+        want = np.nonzero(np.sqrt(dz.real * dz.real + dz.imag * dz.imag) <= reach[:, None])
+        assert set(zip(*want)) <= set(zip(i.tolist(), j.tolist()))
+
+    @pytest.mark.parametrize("step", [0.7, 1.3])
+    def test_near_lists_points_on_cell_edges(self, step):
+        # a grid whose step is the cell: its points lie on cell edges, and
+        # at exactly the reach from the queries at its points
+        g = step * np.arange(-5, 6)
+        pos = (g[:, None] + 1j * g[None, :]).ravel()
+        cells = config_module.CellIndex(pos, step)
+        dz = pos[:, None] - pos
+        d = np.sqrt(dz.real * dz.real + dz.imag * dz.imag)
+        for reach in (0.5 * step, step, 2.0 * step, math.hypot(step, step)):
+            i, j = cells.near(pos, reach)
+            want = set(zip(*np.nonzero(d <= reach)))
+            assert want <= set(zip(i.tolist(), j.tolist()))
+            assert reach == 0.5 * step or any(d[a, b] == reach for a, b in want)
+
+    @pytest.mark.parametrize("cell", [0.3, 0.7, 1.3])
+    def test_near_lists_points_a_rounding_from_cell_edges(self, cell):
+        # points within 3 ulps of cell edges, and queries whose reach is the
+        # rounded distance to one of them, less up to 2 ulps: the cell
+        # coordinates of query edge and point round apart, and unless `near`
+        # widens its squares, it misses points the distance test accepts
+        rng = np.random.default_rng(int(10 * cell))
+        g = np.arange(-20, 21)
+        grid = cell * (g[:, None] + 1j * g[None, :]).ravel() + complex(*rng.uniform(-50, 50, 2))
+        cells = config_module.CellIndex(grid, cell)
+        px = cells.corner.real + rng.integers(1, 39, 400) * cells.side
+        px += rng.integers(-3, 4, 400) * np.spacing(px)
+        p = px + 1j * (cells.corner.imag + rng.uniform(0, 40 * cell, 400))
+        pos = np.concatenate([grid, p])
+        q = p + cell * rng.uniform(0.2, 2.0, 400)
+        dz = q - p
+        reach = np.sqrt(dz.real * dz.real + dz.imag * dz.imag)
+        reach -= rng.integers(0, 3, 400) * np.spacing(reach)
+        i, j = config_module.CellIndex(pos, cell).near(q, reach)
+        dz = q[:, None] - pos
+        want = np.nonzero(np.sqrt(dz.real * dz.real + dz.imag * dz.imag) <= reach[:, None])
+        assert set(zip(*want)) <= set(zip(i.tolist(), j.tolist()))
 
     def test_duplicate_across_cell_edges_at_a_binade(self):
         # a pair 1e-9 - 5e-21 apart whose cell coordinates, near 2**28 cells,

@@ -104,6 +104,21 @@ def test_finite_integer_excess():
     assert decide(cfg, "-").status == NOT_EXISTS  # excess exactly 0: boundary
 
 
+@pytest.mark.parametrize(
+    "thetas, spin",
+    [((0.6, 0.7, 0.7), "-"), ((0.1, 0.2, 0.7), "+")],
+    ids=["minus", "plus"],
+)
+def test_finite_threshold_from_correctly_rounded_sum(thetas, spin):
+    # the fluxes sum to 2 and to 1: excess 0, the sharp boundary, in the spin
+    # asked; summed in order they give 1.9999999999999998 and
+    # 1.0000000000000002, an excess of about 2e-16 and a false ExistsFinite
+    cfg = finite(*zip((0.0, 1.0, 1.0j), thetas))
+    v = decide(cfg, spin)
+    assert (v.status, v.theorem, v.multiplicity) == (NOT_EXISTS, "Thm 6.1", None)
+    assert v.condition_values["sumTheta"] == thetas[0] + thetas[1] + thetas[2]  # reported as before
+
+
 def test_finite_boundary_half_half():
     cfg = finite((0.0, 0.5), (1.0, 0.5))
     assert decide(cfg, "+").status == NOT_EXISTS
@@ -311,6 +326,16 @@ def test_equal_area_lattice_pair_summing_to_one_unknown(thetas):
         assert v.condition_values["conditionIndex"] == 0.0
 
 
+@pytest.mark.parametrize("spin, theorem", [("+", "Thm 6.4"), ("-", "Thm 6.4a")])
+def test_chain_periods_near_a_large_denominator_meet_condition_2(spin, theorem):
+    # a period ratio within 1e-13 of a fraction of large denominator: the
+    # pair is not uniformly discrete, and its one-atom rule answers
+    cfg = FluxConfiguration(chains=(chain(1.0, (0.0, 0.5)), chain(1.666078511551902, (0.3, 0.5))))
+    v = decide(cfg, spin)
+    assert (v.status, v.theorem) == (EXISTS_INFINITE, theorem)
+    assert v.condition_values["conditionIndex"] == 2.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(["chains", "lattices"]),
@@ -329,12 +354,11 @@ def test_one_atom_pair_with_flux_sum_at_least_one_meets_condition_2(kind, ratio,
         cfg = FluxConfiguration(lattices=lats)
         theorems = {"+": "§7.4 lattice theorem", "-": "§7.4 lattice theorem"}
     # neither reaches the one-atom rule: a commensurable pair, which is
-    # uniformly discrete, and a refused one, whose lattices share a site or
-    # whose chain periods sit near a fraction of large denominator (their
-    # merge would carry more than 100 000 residues)
+    # uniformly discrete, and a pair sharing a site, which config refuses
     try:
         assume(not uniformly_discrete(cfg)[0])
-    except ConfigError:
+    except ConfigError as exc:
+        assert "duplicate site" in str(exc)
         reject()
     for spin in "+-":
         seen = thetas if spin == "+" else [1.0 - t for t in thetas]

@@ -417,16 +417,50 @@ def test_parallel_member_disc_calls_in_chunks():
 # bulk cutoff
 
 
+def _tree(pos):
+    from scipy.spatial import cKDTree
+
+    return cKDTree(np.column_stack([pos.real, pos.imag]))
+
+
 def _per_node_cutoff(sites, Z):
     """The cutoff by one nearest-site k-d tree query per node."""
     fac = np.ones(Z.shape)
     pts = np.column_stack([Z.real.ravel(), Z.imag.ravel()])
-    nearest = sites.tree.query(pts, k=1, distance_upper_bound=float(sites.radius.max()))[1]
+    nearest = _tree(sites.pos).query(pts, k=1, distance_upper_bound=float(sites.radius.max()))[1]
     nearest = nearest.reshape(Z.shape)
     near = nearest < sites.pos.size
     i = nearest[near]
     t = (np.abs(Z[near] - sites.pos[i]) / sites.radius[i] - _BUMP_LO) / (_BUMP_HI - _BUMP_LO)
     fac[near] = _smooth_rise(t)
+    return fac
+
+
+def _tree_site_set(sites):
+    """Every listed site with a fractional exponent, its disc radius from its
+    nearest listed neighbour, and their k-d tree: the site set of a k-d tree
+    search over the whole listing."""
+    frac = np.abs(sites.expo - np.round(sites.expo)) > 1e-9
+    pos = sites.pos[frac]
+    tree = _tree(pos)
+    nn = tree.query(tree.data, k=2)[0][:, 1]
+    return pos, np.minimum(verify._DISC_SHARE * nn, verify._DISC_RADIUS_MAX), tree
+
+
+def _tree_cutoff(pos, radius, tree, Z):
+    """The cutoff by one k-d tree ball query per box, over every listed site."""
+    fac = np.ones(Z.shape)
+    center = Z.mean(axis=1)
+    spread = np.abs(Z - center[:, None]).max(axis=1)
+    near = tree.query_ball_point(np.column_stack([center.real, center.imag]), spread + radius.max())
+    box = np.repeat(np.arange(len(near)), [len(i) for i in near])
+    site = np.array([j for i in near for j in i], dtype=np.intp)
+    keep = np.abs(center[box] - pos[site]) <= spread[box] + radius[site]
+    box, site = box[keep], site[keep]
+    dist = np.abs(Z[box] - pos[site, None])
+    pair, node = np.nonzero(dist < radius[site, None])
+    t = (dist[pair, node] / radius[site[pair]] - _BUMP_LO) / (_BUMP_HI - _BUMP_LO)
+    fac[box[pair], node] = _smooth_rise(t)
     return fac
 
 
@@ -504,6 +538,102 @@ def test_box_cutoff_rows_no_disc_reaches():
         got = _Integrand(lambda z: np.zeros(z.shape), sites).cutoff(Z)
         assert np.array_equal(got, _per_node_cutoff(sites, Z))
         assert np.all(got == 1.0)
+
+
+def _finite_cloud():
+    # 150 scattered sites: more than the pairwise paths take, with nearest
+    # neighbours from about 0.01 to beyond the disc reach
+    rng = np.random.default_rng(5)
+    pos = np.concatenate([rng.uniform(-9, 9, 140) + 1j * rng.uniform(-9, 9, 140), 14 + 1j * np.arange(10) * 1.7])
+    return FakePsi(lambda z: np.zeros(z.shape), sites=[(p, -0.5) for p in pos])
+
+
+def _sparse_sites():
+    # sites 3.7 to 8.35 from the origin whose discs, of radii 0.37 to 0.5,
+    # cross the annulus edges 4 and 8; and 4.0, whose nearest neighbour
+    # lies inward, at the origin
+    pos = np.array([0j, 4.0, 8.9, -3.7, 4.3j, -8.35j])
+    expo = np.array([-0.5, -0.3, -0.6, -0.4, -0.7, -0.2])
+
+    def la(z):
+        return np.sum(expo[:, None] * np.log(np.abs(z - pos[:, None])), axis=0) - 0.1 * np.abs(z) ** 2
+
+    return FakePsi(la, sites=zip(pos, expo), hint=DecayHint("gaussian", 0.1))
+
+
+def _grid_edges():
+    # sites on a grid of step 0.25 whose coordinates are exact binary
+    # fractions, so that many sit on cell edges and at exact reaches
+    g = 0.25 * np.arange(-40, 41)
+    pos = (g[:, None] + 1j * g[None, :]).ravel()
+    return FakePsi(lambda z: np.zeros(z.shape), sites=[(p, -0.25) for p in pos[np.abs(pos) <= 9.0]])
+
+
+# each family's annuli as l2_norm_squared takes them: its sites listed to
+# R + 1 + the disc reach, the site set kept for r_prev - 1 < |pos| <= R + 1
+@pytest.mark.parametrize(
+    "family, radii",
+    [
+        ("lattice", (4.0, 8.0, 16.0)),
+        ("chain", (4.0, 8.0, 16.0)),
+        ("parallel", (4.0, 8.0)),
+        ("finite", (4.0, 8.0)),
+        ("star", (4.0, 8.0)),
+        ("grid-edges", (4.0, 8.0)),
+        ("sparse", (4.0, 8.0, 16.0)),
+    ],
+)
+def test_site_radii_and_cutoff_match_tree(family, radii):
+    psi = {
+        "lattice": _lattice2_mode,
+        "chain": _chain_mode,
+        "parallel": _parallel_mode,
+        "finite": _finite_cloud,
+        "star": _star_mode,
+        "grid-edges": _grid_edges,
+        "sparse": _sparse_sites,
+    }[family]()
+    r_prev, touched = -1.0, 0
+    for R in radii:
+        listed = psi.singular_sites(R + 1.0 + verify._DISC_REACH)
+        sites = _site_set(listed, r_prev - 1.0, R + 1.0)
+        pos, radius, tree = _tree_site_set(listed)
+        kept = (np.abs(pos) > r_prev - 1.0) & (np.abs(pos) <= R + 1.0)
+        assert sites.pos.tobytes() == pos[kept].tobytes()
+        assert _bits(sites.radius) == _bits(radius[kept])
+        F = _Integrand(lambda z: np.zeros(z.shape), sites)
+
+        def check(Z):
+            nonlocal touched
+            got = F.cutoff(Z)
+            assert np.array_equal(got, _tree_cutoff(pos, radius, tree, Z))
+            touched += int(np.count_nonzero(got < 1.0))
+            return got
+
+        _region_integral(check, max(r_prev, 0.0), R, 1e-4, 1e-4)
+        r_prev = R
+    assert touched > 0
+    if family == "star":  # the mixed radii of the star near its centre
+        assert radius.max() > 10.0 * radius.min()
+
+
+@pytest.mark.parametrize("family", ["finite", "lattice", "chain", "parallel", "star", "sparse"])
+def test_annulus_site_sets_change_no_certificate(monkeypatch, family):
+    # each annulus keeps only the sites that can cut it; keeping every listed
+    # site, as one search over the whole listing did, gives the same result
+    make = {
+        "finite": _two_site_mode,
+        "lattice": _lattice2_mode,
+        "chain": _chain_mode,
+        "parallel": _parallel_mode,
+        "star": _star_mode,
+        "sparse": _sparse_sites,
+    }[family]
+    res = l2_norm_squared(make(), 1e-8, 1e-2)
+    assert res.flag == CONVERGENT
+    whole = verify._site_set
+    monkeypatch.setattr(verify, "_site_set", lambda sites, lo, hi: whole(sites))
+    assert l2_norm_squared(make(), 1e-8, 1e-2) == res
 
 
 # ---------------------------------------------------------------------------
