@@ -508,7 +508,9 @@ _PAIRWISE_MAX = 64  # up to this many points every pair is measured at once
 # the minimum-gap search halves its first cells while one holds more points
 _CELL_POINTS = 32
 _BLOCK_POINTS = 1024  # points whose candidate pairs are measured together
-_PAIRWISE_NEAREST = 1 << 14  # up to this many (query, point) pairs, nearest neighbours by all pairs
+# up to this many (query, point) pairs, nearest neighbours by all pairs: the
+# measured crossover with the cell search, whose fixed cost is some 0.1 ms
+_PAIRWISE_NEAREST = 1 << 14
 
 
 class CellIndex:
@@ -583,7 +585,8 @@ class CellIndex:
         n = np.maximum(np.minimum(np.floor(u + pad), self.top) - lo + 1.0, 0.0).astype(np.int64)
         n_col = n[:, 0] * (n[:, 1] > 0)
         q = np.repeat(np.arange(n_col.size), n_col)
-        first = (lo[:, 0] * self.width + lo[:, 1]).astype(np.int64)[q]
+        lo = lo.astype(np.int64)  # keys reach 2**60: a float key would round
+        first = (lo[:, 0] * self.width + lo[:, 1])[q]
         first += (np.arange(q.size) - np.repeat(np.cumsum(n_col) - n_col, n_col)) * self.width
         start = np.searchsorted(self.key, first)
         count = np.searchsorted(self.key, first + n[q, 1]) - start
@@ -612,10 +615,11 @@ def nearest_gaps(pos: np.ndarray, limit: float, which: np.ndarray | None = None)
     """Distance from each point pos[which] (every point by default) to the
     nearest other point, inf where none lies within `limit`.
 
-    Exact, and rounded as a k-d tree rounds it.  Each query asks the index of
-    `_sparse_cells` for the points within `reach`, from one cell side up,
-    4x wider each round, until one lies within reach, which makes the
-    nearest exact, or reach is `limit`; _BLOCK_POINTS queries at a time.
+    Exact, and rounded as a k-d tree rounds it.  Above _PAIRWISE_NEAREST
+    pairs, each query asks a cell index for the points within `reach`, from
+    the cell of `_sparse_cells` up, with cells and reach 4x wider each round
+    (so a query meets a few cells), until one lies within reach, which makes
+    the nearest exact, or reach is `limit`; _BLOCK_POINTS queries at a time.
     """
     which = np.arange(len(pos)) if which is None else np.asarray(which)
     if len(pos) * which.size <= _PAIRWISE_NEAREST:
@@ -630,6 +634,8 @@ def nearest_gaps(pos: np.ndarray, limit: float, which: np.ndarray | None = None)
     todo = np.arange(which.size)
     while todo.size:
         reach = min(reach, limit)
+        if reach > cells.side:
+            cells = CellIndex(pos, reach)
         for s in range(0, todo.size, _BLOCK_POINTS):
             t = todo[s : s + _BLOCK_POINTS]
             i, j = cells.near(pos[which[t]], reach)

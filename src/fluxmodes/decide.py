@@ -129,8 +129,9 @@ def decide(
     if config.perturbation is not None and not infinite:
         return decide(_fold_finite(config), spin, r_max=r_max)
     # loose sites next to infinite components act as a finite added set
-    if infinite and config.finite_sites:
-        return decide(fold_loose_sites(config), spin, r_max=r_max)
+    folded = fold_loose_sites(config)
+    if folded is not config:
+        return decide(folded, spin, r_max=r_max)
 
     if config.perturbation is not None:
         return _rule_perturbed(config, spin, r_max)

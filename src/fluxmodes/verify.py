@@ -220,10 +220,9 @@ class _Integrand:
         box, site = box[keep], site[keep]
         dist = np.abs(Z[box] - s.pos[site, None])
         pair, node = np.nonzero(dist < s.radius[site, None])
-        if pair.size:  # most calls hold no node in a disc
-            i = site[pair]
-            t = (dist[pair, node] / s.radius[i] - _BUMP_LO) / (_BUMP_HI - _BUMP_LO)
-            fac[box[pair], node] = _smooth_rise(t)
+        i = site[pair]
+        t = (dist[pair, node] / s.radius[i] - _BUMP_LO) / (_BUMP_HI - _BUMP_LO)
+        fac[box[pair], node] = _smooth_rise(t)
         return fac
 
     def __call__(self, Z: np.ndarray) -> np.ndarray:

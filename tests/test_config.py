@@ -450,6 +450,10 @@ def _gap_sets():
     keep = np.ones(121, bool)
     keep[rng.choice([k for k in range(121) if k not in (0, 10, 110, 120)], 21, replace=False)] = False
     one_cell = (np.arange(11)[:, None] * 0.5 + 1j * np.arange(11)[None, :] * 0.5).ravel()[keep]
+    # 144 points 2e-9 apart at the far side of a 100-wide cloud: the sparse
+    # cells halve down to their floor, span * 2**-30, and keys reach 2**60
+    tight = (np.arange(12)[:, None] + 1j * np.arange(12)[None, :]).ravel() * 2e-9
+    cloud = np.concatenate([rng.uniform(0, 100, 200) + 1j * rng.uniform(0, 100, 200), [0, 100 + 100j], 99.9 + 37.3j + tight])
     return {
         "square-lattice": square,
         "oblique-lattice": oblique,
@@ -460,6 +464,7 @@ def _gap_sets():
         "clusters": centres[rng.integers(0, 6, 400)] + (rng.normal(size=400) + 1j * rng.normal(size=400)) * 0.05,
         "one-cell-apart": one_cell,
         "few": rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40),
+        "tight-cluster": cloud,
     }
 
 
@@ -528,6 +533,17 @@ class TestCellSearchOracle:
         assert _bits(config_module.nearest_gaps(pos, limit)) == _bits(want)
         which = np.random.default_rng(len(pos)).permutation(len(pos))[: len(pos) // 3]
         assert _bits(config_module.nearest_gaps(pos, limit, which)) == _bits(want[which])
+
+    def test_tight_cluster_sets_the_cell_floor(self):
+        pos = GAP_SETS["tight-cluster"]
+        cells, cell = config_module._sparse_cells(pos)
+        assert cell == 100.0 * 2.0**-30 and cells.crowd > config_module._CELL_POINTS
+        assert cells.key[-1] > 2**53  # beyond the integers a float key holds
+        for reach in (cell, 3 * cell):
+            i, j = cells.near(pos, reach)
+            dz = pos[:, None] - pos
+            want = np.nonzero(np.sqrt(dz.real * dz.real + dz.imag * dz.imag) <= reach)
+            assert set(zip(*want)) <= set(zip(i.tolist(), j.tolist()))
 
     @pytest.mark.parametrize("name", sorted(GAP_SETS))
     @pytest.mark.parametrize("cell", [0.05, 0.5, 3.0])
