@@ -3,9 +3,9 @@
 Spin '+' zero modes have the form exp(-phi) f(z) and spin '-' modes
 exp(+phi) conj(h(z)), where phi solves Delta phi = b for the configuration's
 flux density and f, h are holomorphic off the flux set.  The spin '-' side
-is produced from the spin '+' recipe of the flux-mirrored configuration
-(theta -> 1 - theta, xi0 -> -xi0) through h = f_mirror / W, with W the
-entire function vanishing simply on every actual flux site.
+applies its verdict's recipe to the flux-mirrored configuration (theta ->
+1 - theta, xi0 -> -xi0) through h = f_mirror / W, with W the entire function
+vanishing simply on every actual flux site.  Nothing is decided here.
 
 One family of zero-set functions serves both phi and W: each of
 `PointZeros` (one point), `SinZeros` (a chain), `SigmaZeros` (a lattice)
@@ -49,7 +49,9 @@ from .config import (
     parallel_directions,
     unsorted_support,
 )
-from .decide import DEFAULT_R_MAX, ZeroModeVerdict, decide, fold_loose_sites
+# `decide` stays importable here as a patch point of the benchmark's tracer
+# (bench/spans.py); this module never calls it
+from .decide import ZeroModeVerdict, decide, fold_loose_sites  # noqa: F401
 from .special import (
     DomainError,
     LatticeBasis,
@@ -66,7 +68,6 @@ from .special import (
 )
 from .verify import DecayHint, Sites
 
-_EXISTS = ("ExistsFinite", "ExistsInfinite")
 # how near a point's reduced coordinate must lie to a zero of the entire
 # factor for zero_orders to count that zero
 _ZERO_ORDER_TOL = 1e-7
@@ -647,7 +648,7 @@ def _sinc_members(count, kind, upper, alpha, member):
 
 def _finite_recipe(config: FluxConfiguration, verdict: ZeroModeVerdict, count: int) -> _Recipe:
     # summed left to right in site order: np.sum's pairwise order moves the last bits
-    total = sum(build_scalar_potential(config).singular_sites(math.inf).theta.tolist())
+    total = sum(unsorted_support(config, math.inf).theta.tolist())
     mult = verdict.multiplicity if verdict.multiplicity is not None else count
     notice = ""
     if count > mult:
@@ -788,11 +789,11 @@ def _star_recipe(config: FluxConfiguration, count: int, alpha: float | None) -> 
 
 
 def _inherited_recipe(
-    config: FluxConfiguration, count: int, alpha: float | None, r_max: float
+    config: FluxConfiguration, verdict: ZeroModeVerdict, count: int, alpha: float | None
 ) -> _Recipe:
-    base_cfg = replace(config, perturbation=None)
-    base_verdict = decide(base_cfg, "+", r_max=r_max)
-    rec = _plus_recipe(base_cfg, base_verdict, count, alpha, r_max)
+    """Thm 7.1: the family of the base configuration, built on the base
+    verdict that `verdict` carries, its decay shifted by the added flux."""
+    rec = _plus_recipe(replace(config, perturbation=None), verdict.base, count, alpha)
     shift = sum(config.perturbation.thetas)
     if shift and config.perturbation.removed == ():
         for m in rec.members:
@@ -804,13 +805,11 @@ def _inherited_recipe(
 
 
 def _plus_recipe(
-    config: FluxConfiguration,
-    verdict: ZeroModeVerdict,
-    count: int,
-    alpha: float | None,
-    r_max: float,
+    config: FluxConfiguration, verdict: ZeroModeVerdict, count: int, alpha: float | None
 ) -> _Recipe:
-    thm = verdict.theorem
+    """The spin '+' recipe of `verdict` on `config`; a spin '-' verdict's
+    conditions are those of the mirror's spin '+', so Thm 6.4a is Thm 6.4."""
+    thm = "Thm 6.4" if verdict.theorem == "Thm 6.4a" else verdict.theorem
     cond = int(verdict.condition_values.get("conditionIndex", 0))
     config = fold_loose_sites(config)  # the configuration `verdict` answers for
     if thm == "Thm 6.1":
@@ -828,7 +827,7 @@ def _plus_recipe(
     if thm == "Thm 6.7":
         return _landau_general_recipe(config, count)
     if thm == "Thm 7.1":
-        return _inherited_recipe(config, count, alpha, r_max)
+        return _inherited_recipe(config, verdict, count, alpha)
     if thm == "Thm 7.3":
         return _perturbed_chain_recipe(config, count, alpha)
     if thm == "Thm 7.4":
@@ -857,33 +856,27 @@ def build_zero_modes(
     count: int,
     *,
     alpha: float | None = None,
-    r_max: float = DEFAULT_R_MAX,
 ) -> ZeroModeFamily:
     """Construct `count` linearly independent zero modes for an Exists verdict.
 
-    The f-factor recipe follows the theorem cited by the verdict; spin '-'
-    families are the flux mirror of the spin '+' construction.  `alpha`
-    overrides the first grid value for sinc-type recipes.
+    The f-factor recipe follows the theorem cited by the verdict, which must
+    be `decide(config, verdict.spin)`: no question is decided again here.  A
+    spin '-' family applies that recipe to the flux mirror of `config` and
+    divides by W; a Thm 7.1 family builds on the base verdict it carries.
+    `alpha` overrides the first grid value for sinc-type recipes.
     """
     if count < 1:
         raise DomainError("count must be a positive integer")
-    if verdict.status not in _EXISTS:
+    if not verdict.exists:
         raise NoModesError(f"verdict {verdict.status!r} asserts no zero modes to build")
     _require_normalized(config)
 
     phi = build_scalar_potential(config)
     a_field = build_vector_potential(phi)
 
-    if verdict.spin == "+":
-        rec = _plus_recipe(config, verdict, count, alpha, r_max)
-        wrap: tuple = ()
-    else:
-        mirror = mirror_configuration(config)
-        mv = decide(mirror, "+", r_max=r_max)
-        if mv.status not in _EXISTS:
-            raise NoModesError("mirror construction unavailable for this verdict")
-        rec = _plus_recipe(mirror, mv, count, alpha, r_max)
-        wrap = _inverse_w(config)
+    minus = verdict.spin == "-"
+    rec = _plus_recipe(mirror_configuration(config) if minus else config, verdict, count, alpha)
+    wrap = _inverse_w(config) if minus else ()
 
     members = tuple(
         WaveFunction(

@@ -56,8 +56,6 @@ _STATUS_EXIT = {
 }
 _REPORT_EXIT = {"PASS": EXIT_OK, "FAIL": EXIT_NEGATIVE, "INCONCLUSIVE": EXIT_UNKNOWN}
 
-_EXISTS = ("ExistsFinite", "ExistsInfinite")
-
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -198,8 +196,8 @@ def _cmd_verify(args, manifest: RunManifest) -> int:
     meshes = _parse_meshes(args.mesh_ladder)
     report: dict = {"manifest": manifest.to_dict(), "verdict": verdict.to_dict()}
 
-    if verdict.status in _EXISTS:
-        fam = build_zero_modes(cfg, verdict, args.count, alpha=args.alpha, r_max=args.r_max)
+    if verdict.exists:
+        fam = build_zero_modes(cfg, verdict, args.count, alpha=args.alpha)
         if fam.notice:
             report["notice"] = fam.notice
         report["recipe"] = {"f": fam.f_recipe, "alphaRange": fam.alpha_range}
@@ -323,9 +321,7 @@ def _cmd_grid(args, manifest: RunManifest) -> int:
             raise DomainError("divergence candidate has a single member (index 0)")
         psi = build_divergence_candidate(cfg, verdict)
     else:
-        fam = build_zero_modes(
-            cfg, verdict, args.member + 1, alpha=args.alpha, r_max=args.r_max
-        )
+        fam = build_zero_modes(cfg, verdict, args.member + 1, alpha=args.alpha)
         if args.member >= len(fam):
             raise DomainError(
                 f"member {args.member} not available (family truncated to {len(fam)})"

@@ -370,6 +370,22 @@ def line_groups(chains: Sequence[ChainComponent]) -> list[list[ChainComponent]]:
     return groups
 
 
+def _merge_coincident(sites: list[FluxSite], d: complex) -> list[FluxSite]:
+    """Sites on one line along `d`, neighbours along it within COINCIDENCE_TOL
+    merged: each group keeps its first site's position and sums its fluxes
+    in list order; groups come in the order of their first sites."""
+    pos = np.array([s.position for s in sites])
+    order = np.argsort((pos / d).real, kind="stable")
+    apart = np.abs(np.diff(pos[order])) >= COINCIDENCE_TOL
+    group = np.empty(len(sites), dtype=np.intp)
+    group[order] = np.concatenate(([0], np.cumsum(apart)))
+    merged: dict[int, FluxSite] = {}
+    for s, g in zip(sites, group.tolist()):
+        t = merged.get(g)
+        merged[g] = s if t is None else FluxSite(t.position, t.theta + s.theta)
+    return list(merged.values())
+
+
 def merge_collinear_chains(chains: Sequence[ChainComponent]) -> ChainComponent:
     """Merge chains sharing a single line into one chain, or reject.
 
@@ -426,16 +442,8 @@ def merge_collinear_chains(chains: Sequence[ChainComponent]) -> ChainComponent:
                 kappa, _ = _reduce_chain_offset(kappa, omega0)
                 sites.append(FluxSite(kappa, off.theta))
 
-    merged: list[FluxSite] = []
-    for s in sites:
-        for i, t in enumerate(merged):
-            if abs(t.position - s.position) < COINCIDENCE_TOL:
-                merged[i] = FluxSite(t.position, t.theta + s.theta)
-                break
-        else:
-            merged.append(s)
     out = []
-    for s in merged:
+    for s in _merge_coincident(sites, d):
         th, _ = _frac(s.theta)
         if th != 0.0:
             out.append(FluxSite(s.position, th))
@@ -766,15 +774,9 @@ class SetStats:
 
 
 def set_stats(points, r_max: float) -> SetStats:
-    """Analyze a discrete point set given as an array or a generator R -> points.
-
-    The generator form must enumerate every point with |w| <= R.
-    """
-    if callable(points):
-        pts = np.asarray(points(r_max), dtype=complex).ravel()
-    else:
-        pts = np.asarray(points, dtype=complex).ravel()
-        pts = pts[np.abs(pts) <= r_max]
+    """Analyze the points of a discrete set with |w| <= r_max."""
+    pts = np.asarray(points, dtype=complex).ravel()
+    pts = pts[np.abs(pts) <= r_max]
     radii = np.sort(np.abs(pts))
     nonzero = pts[np.abs(pts) > 0]
     order = np.argsort(np.abs(nonzero))

@@ -21,7 +21,7 @@ Rule guards, in order:
 
 Verdicts for spin '-' are obtained by evaluating dual conditions, which
 equal the spin '+' conditions of the mirror configuration (theta -> 1-theta,
-xi0 -> -xi0).
+xi0 -> -xi0), so `ansatz` applies a spin '-' verdict's recipe to that mirror.
 """
 
 from __future__ import annotations
@@ -74,6 +74,9 @@ class ZeroModeVerdict:
     theorem: str
     condition_values: dict[str, float] = field(default_factory=dict)
     multiplicity: int | None = None
+    # Thm 7.1 only: the verdict of the unperturbed configuration, whose
+    # modes the perturbed one inherits; not reported and not compared
+    base: ZeroModeVerdict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.spin not in SPINS:
@@ -361,7 +364,7 @@ def _rule_landau_general(
 ) -> ZeroModeVerdict:
     xi0 = config.uniform_flux_density
     aligned = SPIN_PLUS if xi0 > 0 else SPIN_MINUS
-    stats = set_stats(lambda r: enumerate_support(config, r).pos, r_max)
+    stats = set_stats(enumerate_support(config, r_max).pos, r_max)
     values = {
         "b0": 2.0 * math.pi * xi0,
         "genus": float(stats.genus),
@@ -427,10 +430,10 @@ def _rule_perturbed(config: FluxConfiguration, spin: str, r_max: float) -> ZeroM
 
     # finite moves preserve the verdict in both directions; finite additions
     # preserve existence only
-    if is_move and base.status != UNKNOWN:
-        return ZeroModeVerdict(spin, base.status, "Thm 7.1", values, multiplicity=base.multiplicity)
-    if additions_only and base.exists:
-        return ZeroModeVerdict(spin, base.status, "Thm 7.1", values, multiplicity=base.multiplicity)
+    if (is_move and base.status != UNKNOWN) or (additions_only and base.exists):
+        return ZeroModeVerdict(
+            spin, base.status, "Thm 7.1", values, multiplicity=base.multiplicity, base=base
+        )
 
     # scarce-perturbation existence results (no uniform field component)
     if config.uniform_flux_density == 0.0:

@@ -1,6 +1,7 @@
 """Potentials and zero-mode families: exponents, residuals, independence."""
 
 import cmath
+import importlib
 import math
 from dataclasses import replace
 
@@ -41,6 +42,7 @@ from fluxmodes.config import (
     Support,
     enumerate_support,
     has_nonparallel,
+    mirror_configuration,
     normalize_fluxes,
 )
 from fluxmodes.decide import decide
@@ -361,6 +363,47 @@ def test_chain_spin_minus_matches_mirror_modulus():
     assert minus.log_abs(z) == pytest.approx(plus.log_abs(z), rel=1e-12, abs=1e-12)
     rep = annihilation_residual(minus, ProbeRegion(0.4 + 1.2j, 0.2, 0.8))
     assert 1.8 <= rep.observed_order <= 2.2
+
+
+_SPIN_MINUS_CASES = {
+    "thm6.1": finite((0.0, 0.1), (1.0, 0.2), (1.5j, 0.3)),
+    "thm6.4a": norm(FluxConfiguration(chains=(chain(1.0, (0.0, 0.3)), chain(math.sqrt(2.0), (0.3, 0.4))))),
+    "thm7.1-over-6.4a": norm(
+        FluxConfiguration(
+            chains=(chain(1.0, (0.0, 0.3)), chain(math.sqrt(2.0), (0.3, 0.4))),
+            perturbation=Perturbation(added=(AddedSet((0.5 + 1.5j,), 0.4),)),
+        )
+    ),
+    "thm7.1-loose-site": norm(
+        FluxConfiguration(chains=(chain(1.0, (0.0, 0.5)),), finite_sites=(FluxSite(0.5 + 1.5j, 0.4),))
+    ),
+    "thm6.8": norm(FluxConfiguration(uniform_flux_density=-0.1, lattices=(lattice(2.0, 2.0j, (0.0, 0.3)),))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPIN_MINUS_CASES))
+def test_spin_minus_family_is_built_from_its_verdict(name, monkeypatch):
+    # the spin '-' family applies its own verdict's recipe to the mirror:
+    # the same recipe as the mirror's spin '+' family, with no decide call
+    cfg = _SPIN_MINUS_CASES[name]
+    verdict = decide(cfg, "-")
+    mirror = decide(mirror_configuration(cfg), "+")
+    assert verdict.exists
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_zero_modes decided a question again")
+
+    monkeypatch.setattr(importlib.import_module("fluxmodes.decide"), "decide", refuse)
+    monkeypatch.setattr(ansatz, "decide", refuse, raising=False)
+    minus = build_zero_modes(cfg, verdict, 3)
+    plus = build_zero_modes(mirror_configuration(cfg), mirror, 3)
+    assert (minus.f_recipe, minus.alpha_range, minus.member_params, minus.notice) == (
+        plus.f_recipe, plus.alpha_range, plus.member_params, plus.notice
+    )
+    # psi_- = exp(+phi) conj(f_mirror / W): the factor is the mirror's plus 1/W
+    for m, p in zip(minus, plus):
+        assert m.factor[: len(p.factor)] == p.factor
+        assert m.decay_hint == p.decay_hint
 
 
 def test_nonparallel_chains_exponential_hint():

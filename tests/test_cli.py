@@ -1,6 +1,8 @@
 """CLI front end: exit codes, report structure, CSV grids, manifests."""
 
 import hashlib
+import importlib
+import inspect
 import json
 import math
 import os
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from fluxmodes import cli
+from fluxmodes.ansatz import build_zero_modes
 from fluxmodes.cli import main
 from fluxmodes.config import config_from_dict, config_to_dict, normalize_fluxes
 from fluxmodes.verify import Sites
@@ -176,6 +179,42 @@ def test_verify_chain_with_loose_site(tmp_path, capsys, spin):
     assert out["status"] == "PASS"
     assert out["verdict"]["theorem"] == "Thm 7.1"
     assert [m["quadrature"]["flag"] for m in out["members"]] == ["Convergent"]
+
+
+CHAIN_ADDED = {
+    "chains": [{"omega0": [1.0, 0.0], "offsets": [{"kappa": [0.0, 0.0], "theta": 0.5}]}],
+    "perturbation": {"added": [{"points": [[0.5, 1.5]], "theta": 0.4}]},
+}
+LANDAU03 = {
+    "uniform_flux_density": 0.075,
+    "lattices": [
+        {"omega1": [2.0, 0.0], "omega2": [0.0, 2.0], "offsets": [{"kappa": [0.0, 0.0], "theta": 0.5}]}
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, spin, calls",
+    [(CHAIN_ADDED, "+", 2), (CHAIN_ADDED, "-", 2), (LANDAU03, "-", 1)],
+    ids=["chain-added-plus", "chain-added-minus", "landau03-minus"],
+)
+def test_verify_decides_each_question_once(tmp_path, capsys, monkeypatch, doc, spin, calls):
+    # verify decides once (a Thm 7.1 verdict decides its base inside that
+    # call); ansatz builds the family, mirrored or inherited, from the verdict
+    decide_mod = importlib.import_module("fluxmodes.decide")
+    ansatz_mod = importlib.import_module("fluxmodes.ansatz")
+    inner, seen = decide_mod.decide, []
+
+    def counted(*args, **kwargs):
+        seen.append(args[1])
+        return inner(*args, **kwargs)
+
+    for mod in (decide_mod, cli, ansatz_mod):
+        monkeypatch.setattr(mod, "decide", counted, raising=False)
+    code, doc = run_json(capsys, "verify", write(tmp_path, doc), "--spin", spin, "--tol-rel", "1e-2")
+    assert (code, doc["status"]) == (0, "PASS")
+    assert seen == [spin] * calls
+    assert "r_max" not in inspect.signature(build_zero_modes).parameters
 
 
 def test_verify_chain_count(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from fluxmodes.config import (
     set_stats,
     uniformly_discrete,
 )
+from fluxmodes.decide import decide
 from fluxmodes.special import LatticeBasis
 
 SQUARE = LatticeBasis(1.0, 1.0j)
@@ -126,6 +128,73 @@ class TestChainMerge:
             for w in enumerate_support(FluxConfiguration(chains=(merged,)), 10.0).pos
         }
         assert got == want
+
+    @staticmethod
+    def _old_scan(sites, d):
+        """The merge of coincident residues as first written: each site is
+        compared with every group kept so far; reference only, it is
+        quadratic in the residue count."""
+        merged = []
+        for s in sites:
+            for i, t in enumerate(merged):
+                if abs(t.position - s.position) < config_module.COINCIDENCE_TOL:
+                    merged[i] = FluxSite(t.position, t.theta + s.theta)
+                    break
+            else:
+                merged.append(s)
+        return merged
+
+    @pytest.mark.parametrize(
+        "chains",
+        [
+            [chain(1.0, (0.0, 0.25)), chain(0.5, (0.0, 0.25))],
+            [chain(1.0, (0.0, 0.3)), chain(0.9, (0.1, 0.4))],  # 1.0 = 0.1 + 0.9
+            [chain(1.0, (0.0, 0.3)), chain(499 / 500, (0.1, 0.4))],
+            [chain(2.0, (0.0, 0.3), (0.7, 0.6)), chain(-0.4, (0.3, 0.2)), chain(1.2, (0.5, 0.9))],
+            [chain(1.0, (0.0, 0.5)), chain(1.0 / 3.0, (1e-12, 0.3))],  # rounding-level coincidences
+            [chain(1j, (0.5, 0.3)), chain(-2.5j, (0.5 + 0.5j, 0.7))],
+            [chain(0.6 + 0.8j, (0.0, 0.3)), chain(0.9 + 1.2j, (0.3 + 0.4j, 0.7))],
+        ],
+        ids=["halves", "tenths", "q500", "three", "near", "vertical", "oblique"],
+    )
+    def test_merge_matches_old_scan(self, chains, monkeypatch):
+        merged = merge_collinear_chains(chains)
+        monkeypatch.setattr(config_module, "_merge_coincident", self._old_scan)
+        assert merged == merge_collinear_chains(chains)  # bit-identical chains
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        q=st.integers(2, 60),
+        p=st.integers(1, 60),
+        kappa=st.sampled_from([0.0, 0.1, 0.25, 1.0 / 3.0, 0.5 + 1e-13]),
+        thetas=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
+    )
+    def test_merge_matches_old_scan_on_rational_periods(self, q, p, kappa, thetas):
+        chains = [chain(1.0, (0.0, thetas[0])), chain(p / q, (kappa, thetas[1]))]
+        try:
+            merged = merge_collinear_chains(chains)
+        except ConfigError as exc:
+            assert "integer fluxes" in str(exc)
+            return
+        original = config_module._merge_coincident
+        config_module._merge_coincident = self._old_scan
+        try:
+            assert merged == merge_collinear_chains(chains)
+        finally:
+            config_module._merge_coincident = original
+
+    def test_many_residues_merge_fast(self):
+        # periods 1 and (q - 1)/q merge to a chain of about 2q residues; the
+        # old scan took 2.7 s at q = 4 000 and grew as q^2
+        q = 10_000
+        chains = [chain(1.0, (0.0, 0.3)), chain((q - 1) / q, (0.1, 0.4))]
+        start = time.perf_counter()
+        merged = merge_collinear_chains(chains)
+        assert time.perf_counter() - start < 2.0
+        assert merged.omega0 == pytest.approx(q - 1)
+        # residue k of the second chain meets an integer where k / q = 0.1
+        assert 2 * q - 1 - 10 <= len(merged.offsets) <= 2 * q - 1
+        assert decide(FluxConfiguration(chains=tuple(chains)), "+").theorem == "Thm 6.3"
 
     def test_different_lines_rejected(self):
         with pytest.raises(ConfigError):

@@ -17,6 +17,7 @@ from fluxmodes.config import (
     Perturbation,
     StarComponent,
     config_from_dict,
+    enumerate_support,
     line_groups,
     mirror_configuration,
     normalize_fluxes,
@@ -681,6 +682,127 @@ def test_spin_flip_duality(idx):
     up_mirror = decide(mirror_configuration(cfg), "+")
     assert down.status == up_mirror.status
     assert down.multiplicity == up_mirror.multiplicity
+
+
+# ---------------------------------------------------------------------------
+# spin '-' verdicts are the spin '+' verdicts of the mirror: ansatz builds a
+# spin '-' family by applying the verdict's recipe to the mirror, and a
+# Thm 7.1 family from the base verdict the verdict carries
+
+# decimal fluxes put flux sums on integers, where rounding could split a verdict
+_THETA = st.one_of(st.floats(0.01, 0.99), st.sampled_from([0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9]))
+_GENERIC = (0.37 + 0.61j, -1.23 + 0.41j, 2.09 - 1.57j)  # off every generated site
+
+
+@st.composite
+def _finite_sets(draw):
+    cells = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=5, unique=True))
+    return finite(*((complex(x, 0.5 * y), draw(_THETA)) for x, y in cells))
+
+
+@st.composite
+def _chain_pairs(draw):
+    # the second chain shares the first one's line, runs parallel to it or
+    # crosses it
+    where = draw(st.sampled_from([(1.0, 0.3), (1.0, 0.3), (1.0, 0.3 + 0.5j), (1j, 0.3), (1 + 1j, 0.3)]))
+    ratio = draw(st.floats(0.3, 3.0)) * draw(st.sampled_from([1.0, SQRT2, SQRT3]))
+    return FluxConfiguration(
+        chains=(chain(1.0, (0.0, draw(_THETA))), chain(ratio * where[0], (where[1], draw(_THETA))))
+    )
+
+
+@st.composite
+def _lattice_pairs(draw):
+    side = math.sqrt(draw(st.one_of(st.floats(1.05, 6.0), st.sampled_from([2.0, 4.0]))))
+    return FluxConfiguration(
+        lattices=(
+            lattice(1.0, 1.0j, (0.0, draw(_THETA))),
+            lattice(side, side * 1j, (0.1 + 0.2j, draw(_THETA))),
+        )
+    )
+
+
+@st.composite
+def _landau_lattices(draw):
+    xi0 = draw(st.floats(0.02, 1.5)) * draw(st.sampled_from([1.0, -1.0]))
+    side = draw(st.floats(0.7, 2.0))
+    atoms = [(0.0, draw(_THETA))] + ([(0.5 * side * (1 + 1j), draw(_THETA))] if draw(st.booleans()) else [])
+    return FluxConfiguration(uniform_flux_density=xi0, lattices=(lattice(side, side * 1j, *atoms),))
+
+
+@st.composite
+def _perturbed(draw):
+    base = draw(
+        st.sampled_from(
+            [
+                FluxConfiguration(chains=(chain(1.0, (0.0, 0.5)),)),
+                FluxConfiguration(chains=(chain(1.0, (0.0, 0.3)), chain(1j, (0.5 + 0.5j, 0.6)))),
+                FluxConfiguration(chains=(chain(1.0, (0.0, 0.5)), chain(2.0, (0.5j, 0.5)))),
+                FluxConfiguration(chains=(chain(1.0, (0.0, 0.3)), chain(SQRT2, (0.3, 0.4)))),
+                FluxConfiguration(lattices=(lattice(1.0, 1.0j, (0.0, 0.6)),)),
+                FluxConfiguration(
+                    lattices=(lattice(1.0, 1.0j, (0.0, 0.3)), lattice(SQRT2, SQRT2 * 1j, (0.1 + 0.1j, 0.3)))
+                ),
+            ]
+        )
+    )
+    theta = draw(_THETA)
+    removed = (0.0,) if draw(st.booleans()) else ()
+    points = _GENERIC[: draw(st.integers(0 if removed else 1, 3))]
+    if removed and points and draw(st.booleans()):
+        # a move: the added point carries the removed site's flux
+        points, theta = points[:1], enumerate_support(base, 1.0).theta_at(removed)[0]
+    added = (AddedSet(points, theta),) if points else ()
+    xi0 = draw(st.sampled_from([0.0, 0.0, 0.3, -0.3])) if len(base.lattices) == 1 else 0.0
+    return replace(base, uniform_flux_density=xi0, perturbation=Perturbation(removed, added))
+
+
+_MIRROR_FAMILIES = {
+    "finite": _finite_sets(),
+    "chain-pairs": _chain_pairs(),
+    "lattice-pairs": _lattice_pairs(),
+    "landau-lattice": _landau_lattices(),
+    "perturbed": _perturbed(),
+}
+
+
+def _recipe_key(v: ZeroModeVerdict):
+    """What ansatz builds a family from."""
+    theorem = "Thm 6.4" if v.theorem == "Thm 6.4a" else v.theorem
+    return v.status, theorem, v.condition_values.get("conditionIndex"), v.multiplicity
+
+
+@pytest.mark.parametrize("family", sorted(_MIRROR_FAMILIES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_spin_minus_verdict_is_the_mirror_spin_plus_verdict(family, data):
+    cfg = data.draw(_MIRROR_FAMILIES[family])
+    try:
+        cfg, _ = normalize_fluxes(cfg)
+        down = decide(cfg, "-")
+    except ConfigError:
+        reject()
+    up = decide(mirror_configuration(cfg), "+")
+    assert _recipe_key(down) == _recipe_key(up)
+    if down.theorem == "Thm 7.1":
+        assert (down.base.spin, up.base.spin) == ("-", "+")
+        assert _recipe_key(down.base) == _recipe_key(up.base)
+    else:
+        assert down.base is None and up.base is None
+
+
+def test_inherited_verdict_carries_its_base_unreported():
+    cfg = FluxConfiguration(
+        chains=(chain(1.0, (0.0, 0.5)),),
+        perturbation=Perturbation(added=(AddedSet((0.5 + 1.5j,), 0.4),)),
+    )
+    base_cfg = replace(cfg, perturbation=None)
+    for spin in "+-":
+        v = decide(cfg, spin)
+        assert v.theorem == "Thm 7.1"
+        assert v.base == decide(base_cfg, spin)
+        assert "base" not in v.to_dict()
+        assert v == replace(v, base=None)  # equality ignores the base
 
 
 def test_integer_shift_invariance():
