@@ -60,6 +60,7 @@ from .special import (
     lattice_constants,
     log_abs_sigma_tilde,
     log_abs_sin,
+    log_abs_sin_parts,
     sigma_tilde,
     sigma_tilde_dlog,
     sinc_sqrt,
@@ -382,17 +383,25 @@ class StarSinc:
         return (~origin & (np.abs(u.imag) <= _ZERO_ORDER_TOL) & (k != 0) & near).astype(int)
 
 
-def _log_abs_sinc_sqrt(u: np.ndarray) -> np.ndarray:
-    """ln |sin(sqrt u)/sqrt u|, branch free."""
-    small = np.abs(u) < 1e-4
-    out = np.empty(u.shape, dtype=float)
+def _log_abs_sinc_sqrt(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ln|S(u)|, ln|S(-u)|), S(u) = sin(sqrt u)/sqrt u, branch free, from
+    one square root: with sqrt u = a + ib (a >= 0), sqrt(-u) is |b| + ia or
+    |b| - ia, and ln|sin| reads only the real part and |imaginary part|."""
+    modulus = np.abs(u)
+    small = modulus < 1e-4
+    plus, minus = np.empty(u.shape, dtype=float), np.empty(u.shape, dtype=float)
     if small.any():
-        out[small] = np.log(np.abs(sinc_sqrt(u[small])))
+        us = u[small]
+        plus[small] = np.log(np.abs(sinc_sqrt(us)))
+        minus[small] = np.log(np.abs(sinc_sqrt(-us)))
     big = ~small
     if big.any():
         r = np.sqrt(u[big])
-        out[big] = log_abs_sin(r) - 0.5 * np.log(np.abs(u[big]))
-    return out
+        a, b = r.real, np.abs(r.imag)
+        half_log = 0.5 * np.log(modulus[big])
+        plus[big] = log_abs_sin_parts(a, b) - half_log
+        minus[big] = log_abs_sin_parts(b, a) - half_log
+    return plus, minus
 
 
 @dataclass(frozen=True)
@@ -418,7 +427,8 @@ class ExoticSinc:
         with np.errstate(divide="ignore", invalid="ignore"):
             num = log_abs_sin(u) - np.log(np.abs(u))
             num = np.where(np.abs(u) <= COINCIDENCE_TOL, 0.0, num)
-        return num - _log_abs_sinc_sqrt(pu) - _log_abs_sinc_sqrt(-pu) - math.log(math.pi)
+        plus, minus = _log_abs_sinc_sqrt(pu)
+        return num - plus - minus - math.log(math.pi)
 
     def value(self, z: np.ndarray) -> np.ndarray:
         w = self._w(z)

@@ -528,8 +528,9 @@ class CellIndex:
     Keys run column by column, so the cells of one column between two rows
     are one contiguous key range, found with searchsorted.  `pairs` lists the
     close pairs among the points (the minimum gap); `near` lists the points
-    around query points (nearest neighbours, and the site discs that can
-    reach a polar box of the quadrature).  Distances are sqrt(dx*dx + dy*dy),
+    around query points (nearest neighbours), and `near_blocks` lists them in
+    blocks of a bounded size (the site discs that can reach a polar box of the
+    quadrature).  Distances are sqrt(dx*dx + dy*dy),
     the rounding of a distance matrix and of a k-d tree.
     """
 
@@ -585,8 +586,36 @@ class CellIndex:
         around it, one key range per column.  They include every point whose
         rounded distance from the query is at most `reach`; the caller's
         exact test follows."""
-        if len(points) * len(self.key) <= _PAIRWISE_MAX**2:  # every pair
-            return np.repeat(np.arange(len(points)), len(self.key)), np.tile(np.arange(len(self.key)), len(points))
+        return next(self.near_blocks(points, reach))
+
+    def near_blocks(self, points: np.ndarray, reach, size: int | None = None):
+        """The pairs of `near`, in the same order, as blocks (i, j) of at
+        most `size` pairs (all in one block by default); at least one block,
+        which may be empty.  Only the key ranges are held whole."""
+        if len(points) * len(self.key) <= _PAIRWISE_MAX**2:  # every pair: one range per query
+            q = np.arange(len(points))
+            start, count = np.zeros_like(q), np.full(q.size, len(self.key))
+            point = np.arange(len(self.key))
+        else:
+            q, start, count = self._ranges(points, reach)
+            point = self.order
+        end = np.cumsum(count)
+        begin = end - count  # each range's first pair among all pairs
+        total = int(end[-1]) if end.size else 0
+        size = size or max(total, 1)
+        for a in range(0, max(total, 1), size):
+            b = min(a + size, total)
+            # the ranges that meet pairs [a, b), clipped to them
+            r = slice(int(np.searchsorted(end, a, side="right")), int(np.searchsorted(end, b)) + 1)
+            lo = np.maximum(begin[r], a)
+            c = np.minimum(end[r], b) - lo
+            i = np.repeat(q[r], c)
+            j = np.arange(i.size) + np.repeat(start[r] + lo - begin[r] - (np.cumsum(c) - c), c)
+            yield i, point[j]
+
+    def _ranges(self, points: np.ndarray, reach) -> tuple[np.ndarray, ...]:
+        """(query, first, count) of each key range that `near` lists: the
+        cells of one column that meet a query's square."""
         pad = np.reshape((reach * (1.0 + 2.0**-40) + self.slack) / self.side, (-1, 1))
         u = (points - self.corner).view(np.float64).reshape(-1, 2) / self.side
         lo = np.minimum(np.maximum(np.floor(u - pad), 0.0), self.top + 1.0)  # first (column, row)
@@ -597,10 +626,7 @@ class CellIndex:
         first = (lo[:, 0] * self.width + lo[:, 1])[q]
         first += (np.arange(q.size) - np.repeat(np.cumsum(n_col) - n_col, n_col)) * self.width
         start = np.searchsorted(self.key, first)
-        count = np.searchsorted(self.key, first + n[q, 1]) - start
-        i = np.repeat(q, count)
-        j = np.arange(i.size) + np.repeat(start - (np.cumsum(count) - count), count)
-        return i, self.order[j]
+        return q, start, np.searchsorted(self.key, first + n[q, 1]) - start
 
 
 def _sparse_cells(pos: np.ndarray) -> tuple[CellIndex, float]:

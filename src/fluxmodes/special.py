@@ -285,8 +285,13 @@ def log_abs_sin(v) -> np.ndarray:
     scalar = v.ndim == 0
     if scalar:
         v = v.reshape(1)
-    x = v.real
-    y = np.abs(v.imag)
+    out = log_abs_sin_parts(v.real, np.abs(v.imag))
+    return out[0] if scalar else out
+
+
+def log_abs_sin_parts(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """ln|sin(x + iy)| from real arrays x and y >= 0: log_abs_sin's kernel,
+    for callers that hold the parts."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # |sin v|^2 = sin^2 x + sinh^2 y: two positive terms, no cancellation
         s = np.sin(x)
@@ -301,7 +306,7 @@ def log_abs_sin(v) -> np.ndarray:
             yf = y[far]
             e = np.exp(-2.0 * yf)
             out[far] = yf - _LN_2 + 0.5 * np.log1p(e * (e - 2.0 * np.cos(2.0 * x[far])))
-    return out[0] if scalar else out
+    return out
 
 
 def _cot(v: np.ndarray) -> np.ndarray:

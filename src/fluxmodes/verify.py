@@ -26,9 +26,11 @@ only the sites that can cut it, r - 1 < |pos| <= R + 1, and lists the sites
 within 5 of those to set their radii: a site keeps one radius in every
 annulus, and is searched in one annulus, or two near an edge.  One exact cell
 search, config.CellIndex, finds the nearest neighbours and, for each polar
-panel of the bulk, the sites whose discs can reach its nodes; a C^inf
-partition of unity blends those discs into the panel.  The discs are
-disjoint, so a node inside one takes that site's ramp, as its nearest site's.
+panel of the bulk, the sites whose discs can reach its nodes, listed and
+measured in blocks of _CUTOFF_PAIRS (box, site) pairs so that the cutoff's
+memory is bounded; a C^inf partition of unity blends those discs into the
+panel.  The discs are disjoint, so a node inside one takes that site's ramp,
+as its nearest site's; the ramp is evaluated only when a node lies in a disc.
 A disc's radial rule is split at the partition's ramp: Gauss-Jacobi on the
 core, where the cut is 1 and the known local power is the weight, and
 Gauss-Legendre on the ramp, with the power and the cut in its weights.  Its
@@ -43,7 +45,11 @@ its own, so its value does not depend on the discs it shares a call with.
 The bulk is refined level by level: each level splits into four the panels
 that carry all but half the tolerance of the 6x6 vs 4x4 Gauss-Legendre error,
 and evaluates every child of the level in integrand calls of about
-_CHUNK_POINTS points.
+_CHUNK_POINTS points.  A panel's 52 nodes have 10 distinct radii and 10
+distinct angles; each is computed once per panel and taken out to the nodes,
+bit-identical to computing it per node.
+The residuals evaluate psi.value (phi.value) at the probe points and at every
+mesh's four shifted stencils in one call.
 Tails are certified by one rule.  After each annulus, each extrapolation the
 decay hint allows yields a candidate (value, tail error): geometric
 stagnation of the increments for exponential-type decay; a two-term power fit
@@ -91,6 +97,10 @@ _ANGULAR_NODES = 16
 _RING = np.exp(2j * math.pi * np.arange(_ANGULAR_NODES) / _ANGULAR_NODES)
 _CHUNK_POINTS = 3072
 _CUTOFF_CELLS = 256  # so that a polar box spans few columns of the cutoff's cell index
+# (box, site) pairs the cutoff lists and measures at once: every bulk call of
+# the benchmark's questions lists at most 3 572, while a wide box among dense
+# sites can list millions
+_CUTOFF_PAIRS = 8192
 
 
 class DecayHint(NamedTuple):
@@ -215,14 +225,14 @@ class _Integrand:
             return fac
         center = Z.mean(axis=1)
         spread = np.abs(Z - center[:, None]).max(axis=1)
-        box, site = s.cells.near(center, spread + s.radius.max())
-        keep = np.abs(center[box] - s.pos[site]) <= spread[box] + s.radius[site]
-        box, site = box[keep], site[keep]
-        dist = np.abs(Z[box] - s.pos[site, None])
-        pair, node = np.nonzero(dist < s.radius[site, None])
-        i = site[pair]
-        t = (dist[pair, node] / s.radius[i] - _BUMP_LO) / (_BUMP_HI - _BUMP_LO)
-        fac[box[pair], node] = _smooth_rise(t)
+        for box, site in s.cells.near_blocks(center, spread + s.radius.max(), _CUTOFF_PAIRS):
+            keep = np.abs(center[box] - s.pos[site]) <= spread[box] + s.radius[site]
+            box, site = box[keep], site[keep]
+            dist = np.abs(Z[box] - s.pos[site, None])
+            pair, node = np.nonzero(dist < s.radius[site, None])
+            if pair.size:  # a node in a disc
+                t = (dist[pair, node] / s.radius[site[pair]] - _BUMP_LO) / (_BUMP_HI - _BUMP_LO)
+                fac[box[pair], node] = _smooth_rise(t)
         return fac
 
     def __call__(self, Z: np.ndarray) -> np.ndarray:
@@ -251,12 +261,15 @@ def _gauss_rule(n: int, beta: float | None = None) -> tuple[np.ndarray, np.ndarr
 
 @functools.cache
 def _bulk_rule() -> tuple[np.ndarray, ...]:
-    """(radial nodes, angular nodes, 6x6 weights, 4x4 weights) of one box:
-    the 6x6 Gauss-Legendre rule's 36 nodes, then the 4x4 rule's 16."""
+    """(abscissae, radius of each node, angle of each node, 6x6 weights, 4x4
+    weights) of one box.  The abscissae are the 6-point rule's then the
+    4-point rule's, the same along r and phi; the 52 nodes, the 6x6 rule's
+    36 then the 4x4 rule's 16, index them."""
     (x6, w6), (x4, w4) = _gauss_rule(6), _gauss_rule(4)
-    node_r = np.concatenate([np.repeat(x6, 6), np.repeat(x4, 4)])
-    node_p = np.concatenate([np.tile(x6, 6), np.tile(x4, 4)])
-    return node_r, node_p, np.outer(w6, w6).ravel(), np.outer(w4, w4).ravel()
+    i6, i4 = np.arange(6), 6 + np.arange(4)
+    node_r = np.concatenate([np.repeat(i6, 6), np.repeat(i4, 4)])
+    node_p = np.concatenate([np.tile(i6, 6), np.tile(i4, 4)])
+    return np.concatenate([x6, x4]), node_r, node_p, np.outer(w6, w6).ravel(), np.outer(w4, w4).ravel()
 
 
 # boxes per integrand call: about _CHUNK_POINTS points, few enough that the
@@ -267,14 +280,18 @@ _CHUNK_BOXES = _CHUNK_POINTS // (6 * 6 + 4 * 4)
 def _panel_values(F: _Integrand, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre 6x6 values of polar boxes (rows r0, r1, p0, p1) and
     their error indicators |6x6 - 4x4|, evaluated in chunks of boxes."""
-    node_r, node_p, w6, w4 = _bulk_rule()
+    x, node_r, node_p, w6, w4 = _bulk_rule()
     v6 = np.empty(len(boxes))
     v4 = np.empty(len(boxes))
     for s in range(0, len(boxes), _CHUNK_BOXES):
         r0, r1, p0, p1 = boxes[s : s + _CHUNK_BOXES].T
         rh, ph = 0.5 * (r1 - r0), 0.5 * (p1 - p0)
-        r = 0.5 * (r1 + r0)[:, None] + rh[:, None] * node_r
-        vals = F(r * np.exp(1j * (0.5 * (p1 + p0)[:, None] + ph[:, None] * node_p))) * r
+        # each box's 10 radii and 10 angles once, then taken out to its nodes
+        # in rows (C order, as the sums over a box and the 6x6 and 4x4 rules
+        # must see them: a[:, index] would come out in columns)
+        r = np.take(0.5 * (r1 + r0)[:, None] + rh[:, None] * x, node_r, axis=1)
+        turn = np.take(np.exp(1j * (0.5 * (p1 + p0)[:, None] + ph[:, None] * x)), node_p, axis=1)
+        vals = F(r * turn) * r
         v6[s : s + len(r)] = rh * ph * (vals[:, :36] @ w6)
         v4[s : s + len(r)] = rh * ph * (vals[:, 36:] @ w4)
     return v6, np.abs(v6 - v4)
@@ -592,6 +609,14 @@ def _probe_points(region: ProbeRegion) -> np.ndarray:
     return (complex(center) + radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
 
 
+def _stencil_values(f, pts: np.ndarray, meshes: Sequence[float], dtype=None) -> tuple[np.ndarray, np.ndarray]:
+    """f.value at the points, and at their shifts by +h, -h, +ih and -ih for
+    each mesh h (shape (meshes, 4, points)), from one f.value call."""
+    shifts = [p for h in meshes for p in (pts + h, pts - h, pts + 1j * h, pts - 1j * h)]
+    vals = np.asarray(f.value(np.concatenate([pts, *shifts])), dtype=dtype).reshape(-1, pts.size)
+    return vals[0], vals[1:].reshape(len(meshes), 4, pts.size)
+
+
 def _check_clearance(points: np.ndarray, pos: np.ndarray, clearance: float) -> None:
     if not pos.size:
         return
@@ -630,13 +655,13 @@ def annihilation_residual(
 
     conj_spin = psi.spin == "-"
     norms = []
-    base = np.asarray(psi.value(pts))
+    base, shifted = _stencil_values(psi, pts, meshes)
     a_vals = np.asarray(psi.vector_potential(pts))
     if conj_spin:
         a_vals = np.conj(a_vals)
-    for h in meshes:
-        dx = (np.asarray(psi.value(pts + h)) - np.asarray(psi.value(pts - h))) / (2.0 * h)
-        dy = (np.asarray(psi.value(pts + 1j * h)) - np.asarray(psi.value(pts - 1j * h))) / (2.0 * h)
+    for h, (east, west, north, south) in zip(meshes, shifted):
+        dx = (east - west) / (2.0 * h)
+        dy = (north - south) / (2.0 * h)
         grad = dx - 1j * dy if conj_spin else dx + 1j * dy
         res = -1j * grad - a_vals * base
         norms.append(float(np.max(np.abs(res))))
@@ -657,15 +682,9 @@ def laplacian_residual(
 
     b0 = 2.0 * math.pi * phi.uniform_flux_density
     norms = []
-    center = np.asarray(phi.value(pts), dtype=float)
-    for h in meshes:
-        lap = (
-            np.asarray(phi.value(pts + h), dtype=float)
-            + np.asarray(phi.value(pts - h), dtype=float)
-            + np.asarray(phi.value(pts + 1j * h), dtype=float)
-            + np.asarray(phi.value(pts - 1j * h), dtype=float)
-            - 4.0 * center
-        ) / h**2
+    center, shifted = _stencil_values(phi, pts, meshes, float)
+    for h, (east, west, north, south) in zip(meshes, shifted):
+        lap = (east + west + north + south - 4.0 * center) / h**2
         norms.append(float(np.max(np.abs(lap - b0))))
     return ResidualReport(meshes, tuple(norms), _observed_order(meshes, norms))
 

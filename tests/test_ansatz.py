@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fluxmodes import ansatz
@@ -51,6 +51,8 @@ from fluxmodes.special import (
     LatticeBasis,
     chain_log_abs,
     log_abs_sigma_tilde,
+    log_abs_sin,
+    sinc_sqrt,
     star_log_abs,
 )
 from fluxmodes.verify import (
@@ -591,6 +593,73 @@ def test_exotic_parallel_member():
     assert 0.5 + 0j not in sites
     rep = annihilation_residual(psi, ProbeRegion(0.25 + 0.85j, 0.1, 0.4))
     assert 1.8 <= rep.observed_order <= 2.2
+
+
+def _log_abs_sinc_sqrt_one(u):
+    """ln|sin(sqrt u)/sqrt u| by its own square root: ExoticSinc took
+    ln|S(pi u)| and ln|S(-pi u)| in two such calls."""
+    small = np.abs(u) < 1e-4
+    out = np.empty(u.shape, dtype=float)
+    if small.any():
+        out[small] = np.log(np.abs(sinc_sqrt(u[small])))
+    big = ~small
+    if big.any():
+        r = np.sqrt(u[big])
+        out[big] = log_abs_sin(r) - 0.5 * np.log(np.abs(u[big]))
+    return out
+
+
+_SIGNED_ZEROS = (0.0, -0.0)
+# arguments of the sinc pair: any direction at moduli 1e-6 to 1e5; the real
+# axis (and the negative one) and the imaginary axis with either zero; the
+# series branch |u| < 1e-4; and u = w^2 with |Im w| >= 20 (the far branch
+# of ln|sin| for S(u)) or |Re w| >= 20 (for S(-u))
+_sinc_args = st.one_of(
+    st.builds(
+        lambda e, phi: 10.0**e * complex(math.cos(phi), math.sin(phi)),
+        st.floats(-6.0, 5.0),
+        st.floats(-math.pi, math.pi),
+    ),
+    st.builds(complex, st.floats(-1e5, 1e5), st.sampled_from(_SIGNED_ZEROS)),
+    st.builds(complex, st.sampled_from(_SIGNED_ZEROS), st.floats(-1e5, 1e5)),
+    st.builds(complex, st.sampled_from(_SIGNED_ZEROS), st.sampled_from(_SIGNED_ZEROS)),
+    st.builds(complex, st.floats(-1e-4, 1e-4), st.floats(-1e-4, 1e-4)),
+    st.builds(
+        lambda a, b, swap: complex(b, a) ** 2 if swap else complex(a, b) ** 2,
+        st.floats(-300.0, 300.0),
+        st.one_of(st.floats(20.0, 300.0), st.floats(-300.0, -20.0)),
+        st.booleans(),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_sinc_args, min_size=1, max_size=40))
+@example([0j, -0j, complex(0.0, -0.0), complex(-0.0, -0.0), 1e-4, -1e-4, 1e-4j, 400.0, -400.0, 400j, (3 + 20j) ** 2])
+def test_sinc_sqrt_pair_matches_two_square_roots(values):
+    u = np.array(values, dtype=complex)
+    plus, minus = ansatz._log_abs_sinc_sqrt(u)
+    assert plus.tobytes() == _log_abs_sinc_sqrt_one(u).tobytes()
+    assert minus.tobytes() == _log_abs_sinc_sqrt_one(-u).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(0.05, 3.0),
+    st.floats(-math.pi, math.pi),
+    st.floats(-2.0, 2.0),
+    st.lists(st.builds(complex, st.floats(-400.0, 400.0), st.floats(-400.0, 400.0)), min_size=1, max_size=40),
+)
+def test_exotic_sinc_log_abs_matches_two_square_roots(alpha, turn, shift, points):
+    piece = ExoticSinc(alpha, complex(math.cos(turn), math.sin(turn)), shift)
+    z = np.array(points, dtype=complex)
+    u = alpha * piece._w(z)
+    pu = math.pi * u
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num = log_abs_sin(u) - np.log(np.abs(u))
+        num = np.where(np.abs(u) <= COINCIDENCE_TOL, 0.0, num)
+    want = num - _log_abs_sinc_sqrt_one(pu) - _log_abs_sinc_sqrt_one(-pu) - math.log(math.pi)
+    assert piece.log_abs(z).tobytes() == want.tobytes()
 
 
 def test_nonparallel_perturbed_member():

@@ -1,4 +1,4 @@
-"""Exact norms of Thm 6.3 chain members at theta = 1/2, and the engine held to them.
+"""Exact norms of Thm 6.3 chain members, and the engine held to them.
 
 A chain of period p with flux theta at the sites pZ has the spin '+'
 member of parameter alpha
@@ -17,7 +17,15 @@ cosh(2ay) e^(-2 pi |n| |y|) / 2 - (e^(-|2 pi n + 2a| |y|) + e^(-|2 pi n - 2a| |y
 For a < pi and n != 0 the two parts cancel exactly, and n = 0 leaves
 
     N = pi integral_0^inf c_0(y) sinh(2ay) / y dy,
-    c_0(y) = integral_0^1 ((cosh 2 pi y - cos 2 pi x) / 2)^(-theta) dx.
+    c_0(y) = integral_0^1 ((cosh 2 pi y - cos 2 pi x) / 2)^(-theta) dx
+           = (sinh(2 pi y) / 2)^(-theta) P_-theta(coth 2 pi y),
+
+with the Legendre function P_-theta(z) = 2F1(theta, 1 - theta; 1; (1 - z) / 2).
+c_0 decays like e^(-2 pi theta y), so N is finite for a < pi theta.  With
+e = exp(-4 pi y) and m = 1 - e, c_0 = 4^theta m^-theta 2F1(theta, 1 - theta; 1;
+-e / m), which `chain_norm` takes from scipy's `hyp2f1`, with sinh(2ay)
+written as exponentials combined with c_0's decay; where mpmath is
+installed it is checked against an mpmath quadrature of `legenp`.
 
 At theta = 1/2 the substitution 2 pi x = pi - 2 phi turns c_0 into a
 complete elliptic integral of modulus k = sech(pi y): c_0 = (2/pi) k K(k), so
@@ -25,10 +33,11 @@ complete elliptic integral of modulus k = sech(pi y): c_0 = (2/pi) k K(k), so
     N = 2 integral_0^inf K(sech pi y) sinh(2ay) / (y cosh pi y) dy.
 
 The integrand has a logarithmic singularity at y = 0 and decays like
-e^((2a - pi) y); the members here have a < pi/2.  It is computed with
-scipy's `ellipkm1` (K at parameter 1 - tanh^2 pi y) and `quad`, with the
-hyperbolic functions written as exponentials.  `EXACT` holds the same
-norms computed with mpmath at 25 digits, rounded to 10 decimals.
+e^((2a - pi) y); the members here have a < pi/2.  `chain_norm_half`
+computes it with scipy's `ellipkm1` (K at parameter 1 - tanh^2 pi y) and
+`quad`, with the hyperbolic functions written as exponentials: an
+independent form that `chain_norm` must match at theta = 1/2.  `EXACT`
+holds the norms computed with mpmath at 25 digits, rounded to 10 decimals.
 
 Each row is one member the engine certifies at rel 1e-4, abs 1e-8.  A
 `Convergent` value must lie within its stated error of N.  Rows the engine
@@ -41,17 +50,25 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import ellipkm1
+from scipy.special import ellipkm1, hyp2f1
 
 from fluxmodes import ChainComponent, FluxConfiguration, FluxSite, build_zero_modes, decide, l2_norm_squared
 
-# a = alpha * period -> N, mpmath at 25 digits
+# a = alpha * period -> N at theta = 1/2, mpmath at 25 digits
 EXACT = {
     math.pi / 8.0: 1.7528804665,
     math.pi / 4.0: 3.7479895034,
     3.0 * math.pi / 8.0: 6.5592861490,
     math.pi / 6.0: 2.3750959287,
     math.pi / 3.0: 5.4522864355,
+}
+# (theta, a) -> N of the `--count 2` members at theta 0.3 and 0.7, mpmath at
+# 25 digits through legenp, rounded to 10 decimals
+EXACT_THETA = {
+    (0.3, 0.1 * math.pi): 1.6779149403,
+    (0.3, 0.2 * math.pi): 3.8871850687,
+    (0.7, 0.7 * math.pi / 3.0): 3.8788273437,
+    (0.7, 1.4 * math.pi / 3.0): 8.6891297279,
 }
 
 _STRIP_MISS = pytest.mark.xfail(
@@ -60,15 +77,20 @@ _STRIP_MISS = pytest.mark.xfail(
     reason="chain-strip certificate misses its exact norm (ROADMAP item 2)",
 )
 
-# (period, family size, member index): criterion 06's grid and `--count 2`
+# (theta, period, family size, member index): criterion 06's grid and
+# `--count 2`
 ROWS = [
-    pytest.param(1.0, 3, 0, id="criterion06-0", marks=_STRIP_MISS),
-    pytest.param(1.0, 3, 1, id="criterion06-1"),
-    pytest.param(1.0, 3, 2, id="criterion06-2", marks=_STRIP_MISS),
-    pytest.param(1.0, 2, 0, id="count2-0", marks=_STRIP_MISS),
-    pytest.param(1.0, 2, 1, id="count2-1", marks=_STRIP_MISS),
-    pytest.param(1.7, 2, 0, id="period1.7-0", marks=_STRIP_MISS),
-    pytest.param(1.7, 2, 1, id="period1.7-1"),
+    pytest.param(0.5, 1.0, 3, 0, id="criterion06-0", marks=_STRIP_MISS),
+    pytest.param(0.5, 1.0, 3, 1, id="criterion06-1"),
+    pytest.param(0.5, 1.0, 3, 2, id="criterion06-2", marks=_STRIP_MISS),
+    pytest.param(0.5, 1.0, 2, 0, id="count2-0", marks=_STRIP_MISS),
+    pytest.param(0.5, 1.0, 2, 1, id="count2-1", marks=_STRIP_MISS),
+    pytest.param(0.5, 1.7, 2, 0, id="period1.7-0", marks=_STRIP_MISS),
+    pytest.param(0.5, 1.7, 2, 1, id="period1.7-1"),
+    pytest.param(0.3, 1.0, 2, 0, id="theta0.3-0", marks=_STRIP_MISS),
+    pytest.param(0.3, 1.0, 2, 1, id="theta0.3-1"),
+    pytest.param(0.7, 1.0, 2, 0, id="theta0.7-0", marks=_STRIP_MISS),
+    pytest.param(0.7, 1.0, 2, 1, id="theta0.7-1"),
 ]
 
 
@@ -86,8 +108,24 @@ def chain_norm_half(a: float) -> float:
     return value
 
 
-def member(period: float, count: int, index: int):
-    cfg = FluxConfiguration(chains=(ChainComponent(period, (FluxSite(0j, 0.5),)),))
+def chain_norm(theta: float, a: float) -> float:
+    """N of the chain member of flux theta at a = alpha * period < pi theta."""
+    two_pi_theta = 2.0 * math.pi * theta
+
+    def integrand(y):
+        e = math.exp(-4.0 * math.pi * y)
+        m = -math.expm1(-4.0 * math.pi * y)
+        # c_0(y) e^(2 pi theta y), and sinh(2ay) e^(-2 pi theta y) / y
+        c0 = 4.0**theta * m**-theta * hyp2f1(theta, 1.0 - theta, 1.0, -e / m)
+        ratio = (math.exp((2.0 * a - two_pi_theta) * y) - math.exp(-(2.0 * a + two_pi_theta) * y)) / (2.0 * y)
+        return math.pi * c0 * ratio
+
+    value, _ = quad(integrand, 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+    return value
+
+
+def member(theta: float, period: float, count: int, index: int):
+    cfg = FluxConfiguration(chains=(ChainComponent(period, (FluxSite(0j, theta),)),))
     fam = build_zero_modes(cfg, decide(cfg, "+"), count)
     return fam.generator(index), fam.member_params[index][1]
 
@@ -95,21 +133,47 @@ def member(period: float, count: int, index: int):
 @pytest.mark.parametrize("a", list(EXACT))
 def test_reference_matches_mpmath(a):
     assert chain_norm_half(a) == pytest.approx(EXACT[a], abs=1e-10)
+    assert chain_norm(0.5, a) == pytest.approx(EXACT[a], abs=1e-10)
+
+
+@pytest.mark.parametrize("theta, a", list(EXACT_THETA))
+def test_general_reference_matches_table(theta, a):
+    assert chain_norm(theta, a) == pytest.approx(EXACT_THETA[theta, a], abs=1e-9)
+
+
+@pytest.mark.parametrize("theta, a", list(EXACT_THETA))
+def test_general_reference_matches_mpmath_legenp(theta, a):
+    mp = pytest.importorskip("mpmath")
+    th = mp.mpf(theta)
+
+    def integrand(y):
+        c0 = (mp.sinh(2 * mp.pi * y) / 2) ** -th * mp.legenp(-th, 0, mp.coth(2 * mp.pi * y), type=3)
+        return mp.pi * c0 * mp.sinh(2 * a * y) / y
+
+    with mp.workdps(15):
+        want = float(mp.quad(integrand, [0, 0.25, 1, 4, mp.inf]))
+    assert chain_norm(theta, a) == pytest.approx(want, abs=1e-9)
 
 
 def test_members_have_the_reference_modulus():
     z = np.array([0.3 + 0.7j, -1.2 + 0.45j, 2.5 - 1.5j, 0.05 - 0.2j])
-    for period, count in ((1.0, 3), (1.0, 2), (1.7, 2)):
+    for theta, period, count in ((0.5, 1.0, 3), (0.5, 1.0, 2), (0.5, 1.7, 2), (0.3, 1.0, 2), (0.7, 1.0, 2)):
         for index in range(count):
-            psi, alpha = member(period, count, index)
-            want = -0.5 * np.log(np.abs(np.sin(np.pi * z / period))) + np.log(np.abs(np.sin(alpha * z) / z))
+            psi, alpha = member(theta, period, count, index)
+            want = -theta * np.log(np.abs(np.sin(np.pi * z / period))) + np.log(np.abs(np.sin(alpha * z) / z))
             np.testing.assert_allclose(psi.log_abs(z), want, rtol=1e-13, atol=1e-13)
 
 
-@pytest.mark.parametrize("period, count, index", ROWS)
-def test_chain_norm_within_stated_error(period, count, index):
-    psi, alpha = member(period, count, index)
-    exact = chain_norm_half(alpha * period)
+def test_rows_take_the_tabled_members():
+    for theta, a in EXACT_THETA:
+        alphas = [member(theta, 1.0, 2, index)[1] for index in range(2)]
+        assert min(abs(alpha - a) for alpha in alphas) <= 1e-12
+
+
+@pytest.mark.parametrize("theta, period, count, index", ROWS)
+def test_chain_norm_within_stated_error(theta, period, count, index):
+    psi, alpha = member(theta, period, count, index)
+    exact = chain_norm(theta, alpha * period)
     res = l2_norm_squared(psi, 1e-8, 1e-4)
     assert res.flag == "Convergent"
     assert abs(res.value - exact) <= res.error_estimate, (res.value, res.error_estimate, exact)

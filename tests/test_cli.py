@@ -314,11 +314,16 @@ def assert_near_frozen(new, old, key=None):
         assert type(new) is type(old) and new == old, key
 
 
+LANDAU07 = {**LANDAU03, "uniform_flux_density": 0.175}
+CHAIN = {"chains": CHAIN_ADDED["chains"]}
+
+
 @pytest.mark.parametrize(
-    "config, args, theorem, frozen, digest",
+    "config, spin, args, theorem, frozen, digest",
     [
         (
             TWO_SITES,
+            "+",
             ("--tol-rel", "1e-3"),
             "Thm 6.1",
             None,
@@ -326,6 +331,7 @@ def assert_near_frozen(new, old, key=None):
         ),
         (
             LATTICE2,
+            "+",
             ("--count", "1", "--tol-rel", "1e-2"),
             "Thm 6.5",
             "lattice",
@@ -333,17 +339,51 @@ def assert_near_frozen(new, old, key=None):
         ),
         (
             PARALLEL,
+            "+",
             ("--tol-rel", "1e-1"),
             "Thm 7.4",
             "parallel-chains",
             "b4d273f76a941994d7276d3fb5a2e25d3eb9ca1728e4cb2b2fab306d3c528a2a",
         ),
+        (
+            CHAIN,
+            "+",
+            ("--count", "3", "--tol-rel", "1e-1"),
+            "Thm 6.3",
+            None,
+            "f0cc25180f3c2142d09921c25d13ee84a319642a3da9a141bc908466246e6de4",
+        ),
+        (
+            LANDAU03,
+            "-",
+            ("--count", "1", "--tol-rel", "1e-2"),
+            "Thm 6.8",
+            None,
+            "d7da22d2f239d786623dc74e301e9d2ccd1cd468f5cd983f55da3b08e932e309",
+        ),
+        (
+            # NotExists: the report certifies the divergence candidate
+            LANDAU07,
+            "-",
+            ("--tol-rel", "1e-2"),
+            "Thm 6.8",
+            None,
+            "505f62b9ff5bddd136a8c604388b4036b1382893a6158b9bd1b6631112d685ab",
+        ),
+        (
+            SMALL,
+            "-",
+            ("--count", "1", "--tol-rel", "1e-3"),
+            "Thm 6.1",
+            None,
+            "448411dd24f599d6b1bae588d1670619a54b0cea2f89cda5b1364769301cb91f",
+        ),
     ],
-    ids=["two-site", "lattice", "parallel-chains"],
+    ids=["two-site", "lattice", "parallel-chains", "chain", "landau03-minus", "landau07-minus", "two-site-weak-minus"],
 )
-def test_verify_report_bytes_frozen(tmp_path, capsys, config, args, theorem, frozen, digest):
+def test_verify_report_bytes_frozen(tmp_path, capsys, config, spin, args, theorem, frozen, digest):
     # the certificate itself, every float of it, without the run manifest
-    code, doc = run_json(capsys, "verify", write(tmp_path, config), "--spin", "+", *args)
+    code, doc = run_json(capsys, "verify", write(tmp_path, config), "--spin", spin, *args)
     assert code == 0
     assert doc["status"] == "PASS"
     assert doc["verdict"]["theorem"] == theorem

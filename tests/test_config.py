@@ -631,6 +631,21 @@ class TestCellSearchOracle:
         want = np.nonzero(np.sqrt(dz.real * dz.real + dz.imag * dz.imag) <= reach[:, None])
         assert set(zip(*want)) <= set(zip(i.tolist(), j.tolist()))
 
+    @pytest.mark.parametrize("name", sorted(GAP_SETS))
+    @settings(max_examples=25, deadline=None)
+    @given(size=st.integers(1, 5000), cell=st.sampled_from([0.05, 0.5, 3.0]), count=st.integers(0, 70))
+    def test_near_blocks_split_near_in_order(self, name, size, cell, count):
+        # the cell path and, for a few queries on a small set, every pair
+        pos = GAP_SETS[name]
+        queries = pos[:count] + 0.3 * cell
+        cells = config_module.CellIndex(pos, cell)
+        i, j = cells.near(queries, 2.0 * cell)
+        blocks = list(cells.near_blocks(queries, 2.0 * cell, size))
+        assert blocks and all(b[0].size <= size for b in blocks)
+        assert all(b[0].size == size for b in blocks[:-1])
+        assert np.array_equal(np.concatenate([b[0] for b in blocks]), i)
+        assert np.array_equal(np.concatenate([b[1] for b in blocks]), j)
+
     @pytest.mark.parametrize("step", [0.7, 1.3])
     def test_near_lists_points_on_cell_edges(self, step):
         # a grid whose step is the cell: its points lie on cell edges, and

@@ -1,7 +1,9 @@
 """Calibration of the certification engine against closed forms."""
 
+import functools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,14 +29,18 @@ from fluxmodes.special import DomainError, LatticeBasis, log_abs_sigma_tilde, lo
 from fluxmodes.verify import (
     _BUMP_HI,
     _BUMP_LO,
+    _CHUNK_BOXES,
     _CHUNK_POINTS,
+    _CUTOFF_PAIRS,
     CONVERGENT,
     DIVERGENT,
     INCONCLUSIVE,
     DecayHint,
     ProbeRegion,
     Sites,
+    _gauss_rule,
     _Integrand,
+    _panel_values,
     _region_integral,
     _site_disc_bounds,
     _site_disc_integrals,
@@ -538,6 +544,181 @@ def test_box_cutoff_rows_no_disc_reaches():
         got = _Integrand(lambda z: np.zeros(z.shape), sites).cutoff(Z)
         assert np.array_equal(got, _per_node_cutoff(sites, Z))
         assert np.all(got == 1.0)
+
+
+def test_cutoff_memory_bounded_on_dense_sites():
+    # 36 481 sites about 0.1 apart under 59 boxes 2 wide and pi/4 across:
+    # 100 040 (box, site) pairs within reach take 162 MiB measured at once,
+    # and about 14 MiB in blocks of _CUTOFF_PAIRS
+    rng = np.random.default_rng(7)
+    g = 0.1 * np.arange(-95, 96)
+    pos = (g[:, None] + 1j * g[None, :]).ravel()
+    pos = pos + 0.02 * (rng.uniform(-1, 1, pos.size) + 1j * rng.uniform(-1, 1, pos.size))
+    sites = _site_set(Sites(pos, np.full(pos.size, -0.5)))
+    r0, p0 = rng.uniform(1.0, 7.0, _CHUNK_BOXES), rng.uniform(0.0, 2.0 * math.pi, _CHUNK_BOXES)
+    rows = []
+    _panel_values(lambda Z: (rows.append(Z), np.zeros(Z.shape))[1], np.column_stack([r0, r0 + 2.0, p0, p0 + 0.25 * math.pi]))
+    (Z,) = rows
+    assert sites.cells.near(Z.mean(axis=1), 2.0)[0].size > 10 * _CUTOFF_PAIRS
+    tracemalloc.start()
+    try:
+        fac = _Integrand(None, sites).cutoff(Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert np.array_equal(fac, _per_node_cutoff(sites, Z))
+    assert np.count_nonzero(fac < 1.0) > 0
+
+
+# ---------------------------------------------------------------------------
+# bit-identity oracles: the forms the engine evaluated before it shared work
+
+
+def _panel_values_reference(F, boxes):
+    """_panel_values with one complex exp per node: each node's radius and
+    angle computed from its own abscissa."""
+    (x6, w6), (x4, w4) = _gauss_rule(6), _gauss_rule(4)
+    node_r = np.concatenate([np.repeat(x6, 6), np.repeat(x4, 4)])
+    node_p = np.concatenate([np.tile(x6, 6), np.tile(x4, 4)])
+    v6, v4 = np.empty(len(boxes)), np.empty(len(boxes))
+    for s in range(0, len(boxes), _CHUNK_BOXES):
+        r0, r1, p0, p1 = boxes[s : s + _CHUNK_BOXES].T
+        rh, ph = 0.5 * (r1 - r0), 0.5 * (p1 - p0)
+        r = 0.5 * (r1 + r0)[:, None] + rh[:, None] * node_r
+        vals = F(r * np.exp(1j * (0.5 * (p1 + p0)[:, None] + ph[:, None] * node_p))) * r
+        v6[s : s + len(r)] = rh * ph * (vals[:, :36] @ np.outer(w6, w6).ravel())
+        v4[s : s + len(r)] = rh * ph * (vals[:, 36:] @ np.outer(w4, w4).ravel())
+    return v6, np.abs(v6 - v4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(0.0, 1000.0),
+            st.floats(1e-9, 500.0),
+            st.floats(-10.0, 10.0),
+            st.floats(1e-9, 2.0 * math.pi),
+        ),
+        min_size=1,
+        max_size=2 * _CHUNK_BOXES + 3,
+    )
+)
+@example([(0.0, 4.0, 0.0, 0.25 * math.pi)])
+def test_panel_nodes_match_per_node_reference(boxes):
+    boxes = np.array([(r0, r0 + dr, p0, p0 + dp) for r0, dr, p0, dp in boxes])
+    got, want = [], []
+
+    def spy(rows):
+        def F(Z):
+            rows.append(Z)
+            return np.exp(-0.01 * (Z.real**2 + Z.imag**2)) * (1.0 + 0.5 * np.cos(3.0 * np.angle(Z)))
+
+        return F
+
+    new, old = _panel_values(spy(got), boxes), _panel_values_reference(spy(want), boxes)
+    assert [Z.tobytes() for Z in got] == [Z.tobytes() for Z in want]
+    assert _bits(new) == _bits(old)
+
+
+def _annihilation_reference(psi, region, meshes):
+    """annihilation_residual with one psi.value call per stencil."""
+    pts = verify._probe_points(region)
+    hmax = max(meshes)
+    reach = abs(region.center) + region.r_outer + 10.0 * hmax + 1.0
+    verify._check_clearance(pts, psi.singular_sites(reach).pos, 10.0 * hmax)
+    conj_spin = psi.spin == "-"
+    norms = []
+    base = np.asarray(psi.value(pts))
+    a_vals = np.asarray(psi.vector_potential(pts))
+    if conj_spin:
+        a_vals = np.conj(a_vals)
+    for h in meshes:
+        dx = (np.asarray(psi.value(pts + h)) - np.asarray(psi.value(pts - h))) / (2.0 * h)
+        dy = (np.asarray(psi.value(pts + 1j * h)) - np.asarray(psi.value(pts - 1j * h))) / (2.0 * h)
+        grad = dx - 1j * dy if conj_spin else dx + 1j * dy
+        norms.append(float(np.max(np.abs(-1j * grad - a_vals * base))))
+    return norms
+
+
+def _laplacian_reference(phi, region, meshes):
+    """laplacian_residual with one phi.value call per stencil."""
+    pts = verify._probe_points(region)
+    hmax = max(meshes)
+    reach = abs(region.center) + region.r_outer + 10.0 * hmax + 1.0
+    verify._check_clearance(pts, phi.singular_sites(reach).pos, 10.0 * hmax)
+    b0 = 2.0 * math.pi * phi.uniform_flux_density
+    center = np.asarray(phi.value(pts), dtype=float)
+    norms = []
+    for h in meshes:
+        lap = (
+            np.asarray(phi.value(pts + h), dtype=float)
+            + np.asarray(phi.value(pts - h), dtype=float)
+            + np.asarray(phi.value(pts + 1j * h), dtype=float)
+            + np.asarray(phi.value(pts - 1j * h), dtype=float)
+            - 4.0 * center
+        ) / h**2
+        norms.append(float(np.max(np.abs(lap - b0))))
+    return norms
+
+
+def _landau_minus_mode():
+    return build_zero_modes(*_landau_lattice(0.3), 1).generator(0)
+
+
+# every family the certify benchmark and the acceptance criteria take
+# residuals of, both spins; built once
+_RESIDUAL_MODES = {
+    name: functools.cache(make)
+    for name, make in {
+        "finite": _two_site_mode,
+        "chain": _chain_mode,
+        "lattice": _lattice2_mode,
+        "landau-minus": _landau_minus_mode,
+        "parallel": lambda: _parallel_mode(0.4),
+        "star": _star_mode,
+    }.items()
+}
+_probe_regions = st.builds(
+    lambda x, y, r_in, width: ProbeRegion(complex(x, y), r_in, r_in + width),
+    st.floats(-4.0, 4.0),
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, 0.05, 0.2, 0.6]),
+    st.floats(0.05, 1.5),
+)
+_mesh_lists = st.one_of(
+    st.just(verify.DEFAULT_MESHES),
+    st.lists(st.floats(1e-4, 2e-2), min_size=1, max_size=4, unique=True).map(tuple),
+)
+
+
+def _same_or_both_refused(new, old, *args):
+    try:
+        want = old(*args)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=re.escape(str(exc))):
+            new(*args)
+    else:
+        assert _bits(new(*args).residual_norms) == _bits(want)
+
+
+@pytest.mark.parametrize("family", sorted(_RESIDUAL_MODES))
+@settings(max_examples=40, deadline=None)
+@given(region=_probe_regions, meshes=_mesh_lists)
+@example(region=ProbeRegion(0.5 - 2.4j, 0.1, 0.6), meshes=verify.DEFAULT_MESHES)
+def test_annihilation_residual_matches_per_stencil_reference(family, region, meshes):
+    psi = _RESIDUAL_MODES[family]()
+    _same_or_both_refused(annihilation_residual, _annihilation_reference, psi, region, meshes)
+
+
+@pytest.mark.parametrize("family", sorted(_RESIDUAL_MODES))
+@settings(max_examples=40, deadline=None)
+@given(region=_probe_regions, meshes=_mesh_lists)
+@example(region=ProbeRegion(0.5 - 2.4j, 0.1, 0.6), meshes=verify.DEFAULT_MESHES)
+def test_laplacian_residual_matches_per_stencil_reference(family, region, meshes):
+    phi = _RESIDUAL_MODES[family]().potential
+    _same_or_both_refused(laplacian_residual, _laplacian_reference, phi, region, meshes)
 
 
 def _finite_cloud():
