@@ -60,7 +60,7 @@ from .special import (
     lattice_constants,
     log_abs_sigma_tilde,
     log_abs_sin,
-    log_abs_sin_parts,
+    log_abs_sinc_sqrt_pair,
     sigma_tilde,
     sigma_tilde_dlog,
     sinc_sqrt,
@@ -383,27 +383,6 @@ class StarSinc:
         return (~origin & (np.abs(u.imag) <= _ZERO_ORDER_TOL) & (k != 0) & near).astype(int)
 
 
-def _log_abs_sinc_sqrt(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ln|S(u)|, ln|S(-u)|), S(u) = sin(sqrt u)/sqrt u, branch free, from
-    one square root: with sqrt u = a + ib (a >= 0), sqrt(-u) is |b| + ia or
-    |b| - ia, and ln|sin| reads only the real part and |imaginary part|."""
-    modulus = np.abs(u)
-    small = modulus < 1e-4
-    plus, minus = np.empty(u.shape, dtype=float), np.empty(u.shape, dtype=float)
-    if small.any():
-        us = u[small]
-        plus[small] = np.log(np.abs(sinc_sqrt(us)))
-        minus[small] = np.log(np.abs(sinc_sqrt(-us)))
-    big = ~small
-    if big.any():
-        r = np.sqrt(u[big])
-        a, b = r.real, np.abs(r.imag)
-        half_log = 0.5 * np.log(modulus[big])
-        plus[big] = log_abs_sin_parts(a, b) - half_log
-        minus[big] = log_abs_sin_parts(b, a) - half_log
-    return plus, minus
-
-
 @dataclass(frozen=True)
 class ExoticSinc:
     """Entire f = (i/pi) [sin(alpha w)/(alpha w)] / [S(pi alpha w) S(-pi alpha w)]
@@ -427,7 +406,7 @@ class ExoticSinc:
         with np.errstate(divide="ignore", invalid="ignore"):
             num = log_abs_sin(u) - np.log(np.abs(u))
             num = np.where(np.abs(u) <= COINCIDENCE_TOL, 0.0, num)
-        plus, minus = _log_abs_sinc_sqrt(pu)
+        plus, minus = log_abs_sinc_sqrt_pair(pu)
         return num - plus - minus - math.log(math.pi)
 
     def value(self, z: np.ndarray) -> np.ndarray:

@@ -38,6 +38,7 @@ from .verify import (
     DEFAULT_MESHES,
     ProbeRegion,
     annihilation_residual,
+    check_meshes,
     growth_estimate,
     l2_norm_squared,
 )
@@ -102,9 +103,9 @@ def _parse_meshes(text: str) -> tuple:
         meshes = tuple(float(h) for h in text.split(","))
     except ValueError:
         raise DomainError(f"cannot parse mesh ladder {text!r}") from None
-    if len(meshes) < 2 or any(h <= 0.0 for h in meshes):
+    if len(meshes) < 2:
         raise DomainError("mesh ladder needs at least two positive steps")
-    return meshes
+    return check_meshes(meshes)
 
 
 def _load_config(path: str):
@@ -295,9 +296,7 @@ def _cmd_special(args, manifest: RunManifest) -> int:
     elif fn == "growth":
         basis = _basis_from_args(args)
         radii = np.geomspace(args.r_min, min(args.r_max, 64.0), 12)
-        est = growth_estimate(
-            lambda w: log_abs_sigma_tilde(basis, w), radii, log_scale=True
-        )
+        est = growth_estimate(lambda w: log_abs_sigma_tilde(basis, w), radii)
         report["value"] = {
             "order": est.order,
             "type": est.type,

@@ -26,7 +26,8 @@ import numpy as np
 
 from .special import DomainError, LatticeBasis
 
-# two sites closer than this coincide; decide and ansatz both test by it
+# two sites closer than this coincide, and a local exponent this near an
+# integer is one; decide, ansatz and verify test by it
 COINCIDENCE_TOL = 1e-9
 
 

@@ -349,10 +349,7 @@ def _b0_threshold_estimate(config: FluxConfiguration) -> float:
     canonical product, estimated from circle maxima of its log modulus."""
     threshold = 0.0
     for lat in config.lattices:
-        def log_w(z, _basis=lat.basis):
-            return log_abs_sigma_tilde(_basis, z)
-
-        est = growth_estimate(log_w, np.geomspace(4.0, 40.0, 14), log_scale=True)
+        est = growth_estimate(lambda z: log_abs_sigma_tilde(lat.basis, z), np.geomspace(4.0, 40.0, 14))
         c_j = est.type if est.order > 1.5 else 0.0
         threshold += 4.0 * c_j * sum(1.0 - s.theta for s in lat.offsets)
     # chains and finite sets have order <= 1: zero order-2 type, no contribution
@@ -438,7 +435,7 @@ def _rule_perturbed(config: FluxConfiguration, spin: str, r_max: float) -> ZeroM
     # scarce-perturbation existence results (no uniform field component)
     if config.uniform_flux_density == 0.0:
         if config.chains and not config.lattices and config.star is None:
-            ud, _gap = uniformly_discrete(base_cfg)
+            ud = base.theorem == "Thm 6.3"  # the base verdict's test of uniform discreteness
             if ud and has_nonparallel(config.chains) and genus_p == 0:
                 return ZeroModeVerdict(spin, EXISTS_INFINITE, "Thm 7.3", values)
             if ud and not has_nonparallel(config.chains):

@@ -62,6 +62,7 @@ _IM_SWITCH = 20.0
 # number of terms.
 _THETA_EPS = 2.0**-54
 _E2_TERMS = 24
+_SINC_SQRT_SERIES = 1e-4  # |w| below which sin(sqrt w)/sqrt w is a Taylor series
 
 
 class DomainError(ValueError):
@@ -658,7 +659,7 @@ def sinc_sqrt(w) -> np.ndarray:
     scalar = w.ndim == 0
     w = np.atleast_1d(w)
     out = np.empty_like(w)
-    small = np.abs(w) < 1e-4
+    small = np.abs(w) < _SINC_SQRT_SERIES
     ws = w[small]
     # sin(sqrt w)/sqrt w = 1 - w/6 + w^2/120 - w^3/5040 + O(w^4)
     out[small] = 1.0 - ws / 6.0 + ws * ws / 120.0 - ws * ws * ws / 5040.0
@@ -667,3 +668,24 @@ def sinc_sqrt(w) -> np.ndarray:
         r = np.sqrt(wb)  # branch irrelevant: the function is even in sqrt(w)
         out[~small] = np.sin(r) / r
     return out[0] if scalar else out
+
+
+def log_abs_sinc_sqrt_pair(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ln|S(u)|, ln|S(-u)|), S = sinc_sqrt, branch free, from one square
+    root: with sqrt u = a + ib (a >= 0), sqrt(-u) is |b| + ia or |b| - ia,
+    and ln|sin| reads only the real part and |imaginary part|."""
+    modulus = np.abs(u)
+    small = modulus < _SINC_SQRT_SERIES
+    plus, minus = np.empty(u.shape, dtype=float), np.empty(u.shape, dtype=float)
+    if small.any():
+        us = u[small]
+        plus[small] = np.log(np.abs(sinc_sqrt(us)))
+        minus[small] = np.log(np.abs(sinc_sqrt(-us)))
+    big = ~small
+    if big.any():
+        r = np.sqrt(u[big])
+        a, b = r.real, np.abs(r.imag)
+        half_log = 0.5 * np.log(modulus[big])
+        plus[big] = log_abs_sin_parts(a, b) - half_log
+        minus[big] = log_abs_sin_parts(b, a) - half_log
+    return plus, minus

@@ -48,8 +48,10 @@ and evaluates every child of the level in integrand calls of about
 _CHUNK_POINTS points.  A panel's 52 nodes have 10 distinct radii and 10
 distinct angles; each is computed once per panel and taken out to the nodes,
 bit-identical to computing it per node.
-The residuals evaluate psi.value (phi.value) at the probe points and at every
-mesh's four shifted stencils in one call.
+The residuals check the meshes (positive, finite, distinct) and the probes'
+clearance from the sites in one preamble, and evaluate psi.value (phi.value) at
+the probes and at every mesh's four shifted stencils in one call; the loop flux
+and the growth estimate (which takes ln|f|) evaluate their nodes in one call.
 Tails are certified by one rule.  After each annulus, each extrapolation the
 decay hint allows yields a candidate (value, tail error): geometric
 stagnation of the increments for exponential-type decay; a two-term power fit
@@ -71,7 +73,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import CellIndex, nearest_gaps
+from .config import COINCIDENCE_TOL, CellIndex, nearest_gaps
 from .special import DomainError
 
 CONVERGENT = "Convergent"
@@ -101,6 +103,8 @@ _CUTOFF_CELLS = 256  # so that a polar box spans few columns of the cutoff's cel
 # the benchmark's questions lists at most 3 572, while a wide box among dense
 # sites can list millions
 _CUTOFF_PAIRS = 8192
+_FLUX_PANELS = 32  # Gauss-Legendre panels per side of a flux loop
+_GROWTH_SAMPLES = 256  # points per circle of a growth estimate
 
 
 class DecayHint(NamedTuple):
@@ -183,7 +187,7 @@ def _site_set(sites: Sites, lo: float = -math.inf, hi: float = math.inf) -> _Sit
     if np.any(sites.expo <= -1.0):
         raise DomainError("local exponent <= -1: |psi|^2 is not integrable")
     # integer local exponents are smooth; only fractional powers need care
-    frac = np.abs(sites.expo - np.round(sites.expo)) > 1e-9
+    frac = np.abs(sites.expo - np.round(sites.expo)) > COINCIDENCE_TOL
     pos, expo = sites.pos[frac], sites.expo[frac]
     r = np.abs(pos)
     keep = np.nonzero((r > lo) & (r <= hi))[0]
@@ -609,12 +613,15 @@ def _probe_points(region: ProbeRegion) -> np.ndarray:
     return (complex(center) + radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
 
 
-def _stencil_values(f, pts: np.ndarray, meshes: Sequence[float], dtype=None) -> tuple[np.ndarray, np.ndarray]:
-    """f.value at the points, and at their shifts by +h, -h, +ih and -ih for
-    each mesh h (shape (meshes, 4, points)), from one f.value call."""
-    shifts = [p for h in meshes for p in (pts + h, pts - h, pts + 1j * h, pts - 1j * h)]
-    vals = np.asarray(f.value(np.concatenate([pts, *shifts])), dtype=dtype).reshape(-1, pts.size)
-    return vals[0], vals[1:].reshape(len(meshes), 4, pts.size)
+def check_meshes(meshes: Sequence[float]) -> tuple[float, ...]:
+    """The mesh ladder as floats; it must be non-empty, positive and free of
+    repeats, which would leave the observed order undefined."""
+    meshes = tuple(float(h) for h in meshes)
+    if not meshes or not all(0.0 < h < math.inf for h in meshes):
+        raise DomainError("meshes must be positive and finite")
+    if len(set(meshes)) < len(meshes):
+        raise DomainError("meshes must be distinct")
+    return meshes
 
 
 def _check_clearance(points: np.ndarray, pos: np.ndarray, clearance: float) -> None:
@@ -625,6 +632,21 @@ def _check_clearance(points: np.ndarray, pos: np.ndarray, clearance: float) -> N
         raise DomainError(
             f"probe region within {clearance:g} of a singular site (min distance {dist.min():g})"
         )
+
+
+def _stencils(f, region: ProbeRegion, meshes: Sequence[float], dtype=None):
+    """What both residuals share: the checked meshes, the probe points, and
+    f.value at the points and at their shifts by +h, -h, +ih and -ih for
+    each mesh h (shape (meshes, 4, points)), from one f.value call.  The
+    probes must keep 10 x the largest mesh from every singular site."""
+    meshes = check_meshes(meshes)
+    pts = _probe_points(region)
+    hmax = max(meshes)
+    reach = abs(region.center) + region.r_outer + 10.0 * hmax + 1.0
+    _check_clearance(pts, f.singular_sites(reach).pos, 10.0 * hmax)
+    shifts = [p for h in meshes for p in (pts + h, pts - h, pts + 1j * h, pts - 1j * h)]
+    vals = np.asarray(f.value(np.concatenate([pts, *shifts])), dtype=dtype).reshape(-1, pts.size)
+    return meshes, pts, vals[0], vals[1:].reshape(len(meshes), 4, pts.size)
 
 
 def _observed_order(meshes: Sequence[float], norms: Sequence[float]) -> float:
@@ -645,17 +667,9 @@ def annihilation_residual(
     potential is evaluated analytically.  A genuine zero mode shows order
     about 2 (the discretization order).
     """
-    meshes = tuple(float(h) for h in meshes)
-    if not meshes or any(h <= 0 for h in meshes):
-        raise DomainError("meshes must be positive")
-    pts = _probe_points(probe_region)
-    hmax = max(meshes)
-    reach = abs(probe_region.center) + probe_region.r_outer + 10.0 * hmax + 1.0
-    _check_clearance(pts, psi.singular_sites(reach).pos, 10.0 * hmax)
-
+    meshes, pts, base, shifted = _stencils(psi, probe_region, meshes)
     conj_spin = psi.spin == "-"
     norms = []
-    base, shifted = _stencil_values(psi, pts, meshes)
     a_vals = np.asarray(psi.vector_potential(pts))
     if conj_spin:
         a_vals = np.conj(a_vals)
@@ -672,17 +686,9 @@ def laplacian_residual(
     phi, probe_region: ProbeRegion, meshes: Sequence[float] = DEFAULT_MESHES
 ) -> ResidualReport:
     """Sup-norm of the 5-point-stencil Laplacian of phi minus b0 = 2 pi xi0."""
-    meshes = tuple(float(h) for h in meshes)
-    if not meshes or any(h <= 0 for h in meshes):
-        raise DomainError("meshes must be positive")
-    pts = _probe_points(probe_region)
-    hmax = max(meshes)
-    reach = abs(probe_region.center) + probe_region.r_outer + 10.0 * hmax + 1.0
-    _check_clearance(pts, phi.singular_sites(reach).pos, 10.0 * hmax)
-
+    meshes, _, center, shifted = _stencils(phi, probe_region, meshes, float)
     b0 = 2.0 * math.pi * phi.uniform_flux_density
     norms = []
-    center, shifted = _stencil_values(phi, pts, meshes, float)
     for h, (east, west, north, south) in zip(meshes, shifted):
         lap = (east + west + north + south - 4.0 * center) / h**2
         norms.append(float(np.max(np.abs(lap - b0))))
@@ -693,12 +699,14 @@ def laplacian_residual(
 # contour checks
 
 
-def loop_flux(a: Callable, rectangle: tuple[float, float, float, float], samples_per_side: int = 256) -> float:
+def loop_flux(a: Callable, rectangle: tuple[float, float, float, float]) -> float:
     """Line integral of a_x dx + a_y dy around an axis-aligned rectangle.
 
     rectangle = (x0, y0, x1, y1), traversed counterclockwise.  For pure
     Aharonov-Bohm fields this equals 2 pi times the enclosed flux sum, plus
-    b0 times the area for a uniform component.
+    b0 times the area for a uniform component.  Each side is cut into
+    _FLUX_PANELS panels of 8 Gauss-Legendre nodes, all evaluated in one
+    a(z) call.
     """
     x0, y0, x1, y1 = map(float, rectangle)
     if not (x0 < x1 and y0 < y1):
@@ -715,43 +723,28 @@ def loop_flux(a: Callable, rectangle: tuple[float, float, float, float], samples
         if np.any((np.hypot(dx, dy) < 1e-6) & ~inside):
             raise DomainError("rectangle boundary passes too close to a flux site")
 
-    panels = max(4, samples_per_side // 8)
+    corners = np.array([complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)])
+    edges = corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * np.linspace(0.0, 1.0, _FLUX_PANELS + 1)
+    mid, half = 0.5 * (edges[:, 1:] + edges[:, :-1]), 0.5 * (edges[:, 1:] - edges[:, :-1])
     x_nodes, w = _gauss_rule(8)
-
-    def side(start: complex, stop: complex, take) -> float:
-        acc = 0.0
-        for k in range(panels):
-            za = start + (stop - start) * k / panels
-            zb = start + (stop - start) * (k + 1) / panels
-            mid, half = 0.5 * (za + zb), 0.5 * (zb - za)
-            z = mid + half * x_nodes
-            acc += abs(half) * float(np.dot(w, take(np.asarray(a(z)))))
-        return acc
-
-    total = side(complex(x0, y0), complex(x1, y0), np.real)
-    total += side(complex(x1, y0), complex(x1, y1), np.imag)
-    total -= side(complex(x0, y1), complex(x1, y1), np.real)
-    total -= side(complex(x0, y0), complex(x0, y1), np.imag)
-    return total
+    z = mid[:, :, None] + half[:, :, None] * x_nodes
+    # a_x dx + a_y dy = Re(conj(a) dz)
+    a_dz = np.conj(np.asarray(a(z.ravel())).reshape(z.shape)) * half[:, :, None]
+    return float(np.sum(a_dz.real @ w))
 
 
 # ---------------------------------------------------------------------------
 # growth estimation
 
 
-def growth_estimate(
-    f: Callable,
-    r_grid: Sequence[float],
-    samples_per_circle: int = 256,
-    *,
-    log_scale: bool = False,
-) -> GrowthEstimate:
-    """Growth order and type of an entire function from circle maxima.
+def growth_estimate(log_f: Callable, r_grid: Sequence[float]) -> GrowthEstimate:
+    """Growth order and type of an entire function f from circle maxima.
 
-    order: least-squares slope of ln ln M(r) against ln r over the top half
-    of the grid; type: max of ln M(r) / r**order there.  With log_scale the
-    evaluator returns ln f directly (mandatory when exp would overflow).
-    Overflows truncate the grid with a notice.
+    log_f returns ln|f|, evaluated on every circle of _GROWTH_SAMPLES points
+    in one call.  order: least-squares slope of ln ln M(r) against ln r over
+    the top half of the grid; type: max of ln M(r) / r**order there.  The
+    grid is truncated, with a notice, at the first circle whose ln M is not
+    finite.
     """
     r = np.asarray(r_grid, dtype=float)
     if r.ndim != 1 or r.size < 4 or r[0] <= 0.0 or np.any(np.diff(r) <= 0.0):
@@ -759,31 +752,19 @@ def growth_estimate(
     if math.log10(r[-1] / r[0]) < 0.75:
         raise DomainError("radius grid must span at least 0.75 decades")
 
-    phase = np.exp(2j * math.pi * np.arange(samples_per_circle) / samples_per_circle)
-    log_m: list[float] = []
+    phase = np.exp(2j * math.pi * np.arange(_GROWTH_SAMPLES) / _GROWTH_SAMPLES)
+    with np.errstate(all="ignore"):  # a circle with non-finite values truncates the grid
+        lm = np.asarray(log_f((r[:, None] * phase).ravel()), dtype=float).reshape(r.size, -1).max(axis=1)
     notice = ""
-    for rad in r:
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.asarray(f(rad * phase))
-        if log_scale:
-            lm = float(np.max(np.real(vals)))
-            if not math.isfinite(lm):
-                notice = f"grid truncated at r={rad:g} (non-finite log values)"
-                break
-        else:
-            mags = np.abs(vals)
-            if not np.all(np.isfinite(mags)):
-                notice = f"grid truncated at r={rad:g} (overflow)"
-                break
-            lm = float(np.log(np.max(mags)))
-        log_m.append(lm)
-    if len(log_m) < 4:
+    bad = np.flatnonzero(~np.isfinite(lm))
+    if bad.size:
+        notice = f"grid truncated at r={r[bad[0]]:g} (non-finite log values)"
+        lm = lm[: bad[0]]
+    if len(lm) < 4:
         raise DomainError("too few usable radii" + (f"; {notice}" if notice else ""))
 
-    rr = r[: len(log_m)]
-    lm = np.array(log_m)
     half = len(lm) // 2
-    rs, ls = rr[half:], lm[half:]
+    rs, ls = r[half : len(lm)], lm[half:]
     usable = ls > 0.0
     if usable.sum() < 3:
         return GrowthEstimate(0.0, float(np.exp(lm.max())), "low", notice)

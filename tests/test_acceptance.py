@@ -100,11 +100,7 @@ def test_criterion_02_lattice_constants():
 def test_criterion_03_sigma_tilde_growth():
     with budget(30.0):
         basis = LatticeBasis(1.0, 1.0j)
-        est = growth_estimate(
-            lambda w: log_abs_sigma_tilde(basis, w),
-            np.geomspace(5.0, 40.0, 12),
-            log_scale=True,
-        )
+        est = growth_estimate(lambda w: log_abs_sigma_tilde(basis, w), np.geomspace(5.0, 40.0, 12))
         assert est.order == pytest.approx(2.0, abs=0.05)
         assert est.type == pytest.approx(math.pi / 2.0, rel=0.05)
     report(3, f"sigma-tilde growth order {est.order:.4f}, type {est.type:.4f} (pi/2={math.pi/2:.4f})")

@@ -217,6 +217,26 @@ def test_verify_decides_each_question_once(tmp_path, capsys, monkeypatch, doc, s
     assert "r_max" not in inspect.signature(build_zero_modes).parameters
 
 
+@pytest.mark.parametrize(
+    "ladder, message",
+    [
+        ("0.01,0.01", "meshes must be distinct"),
+        ("0.02,0.01,0.02", "meshes must be distinct"),
+        ("0.01,-0.01", "meshes must be positive and finite"),
+        ("0.01", "mesh ladder needs at least two positive steps"),
+        ("0.01,x", "cannot parse mesh ladder '0.01,x'"),
+    ],
+)
+def test_bad_mesh_ladder_is_a_domain_error_before_quadrature(tmp_path, capsys, monkeypatch, ladder, message):
+    def untouched(*args, **kwargs):
+        raise AssertionError("quadrature ran before the mesh ladder was checked")
+
+    monkeypatch.setattr(cli, "l2_norm_squared", untouched)
+    code = main(["verify", write(tmp_path, TWO_SITES), "--spin", "+", "--mesh-ladder", ladder])
+    assert code == 2
+    assert capsys.readouterr().err == f"fluxmodes: domain error: {message}\n"
+
+
 def test_verify_chain_count(tmp_path, capsys):
     chain = {
         "chains": [

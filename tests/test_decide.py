@@ -4,7 +4,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from fluxmodes.config import (
@@ -554,6 +554,34 @@ def test_chain_removal_nonparallel():
     assert v.theorem == "Thm 7.3"
 
 
+# removals along one chain whose exponent estimate lies within the slack of
+# 1/2, so Thm 7.4 asks whether the root-scaled count saturates: k^2 for
+# k = 1..14 counts floor(sqrt r), saturated (14 / sqrt 200 = 7 / sqrt 50);
+# five sites from 50 on count 1 by r = 50 and 5 by r = 200, still growing
+@pytest.mark.parametrize(
+    "removed, status, theorem, tau, low",
+    [
+        (tuple(float(k * k) for k in range(1, 15)), EXISTS_INFINITE, "Thm 7.4", 0.5441533213811228, False),
+        ((50.0, 53.0, 56.0, 59.0, 62.0), UNKNOWN, "", 0.5068377022401763, True),
+    ],
+    ids=["squares-saturate", "late-sites-grow"],
+)
+def test_chain_removal_near_half_exponent_counts(removed, status, theorem, tau, low):
+    cfg = FluxConfiguration(chains=(chain(1.0, (0.0, 0.5)),), perturbation=Perturbation(removed=removed))
+    for spin in "+-":
+        v = decide(cfg, spin)
+        assert (v.status, v.theorem) == (status, theorem)
+        assert abs(v.condition_values["tauPrime"] - 0.5) <= 0.05
+        assert v.condition_values["tauPrime"] == pytest.approx(tau, rel=1e-12)
+        assert v.condition_values == {
+            "nRemoved": float(len(removed)),
+            "nAdded": 0.0,
+            "perturbationGenus": 0.0,
+            "tauPrime": v.condition_values["tauPrime"],
+            **({"lowConfidence": 1.0} if low else {}),
+        }
+
+
 def test_lattice_removal():
     cfg = FluxConfiguration(
         lattices=(lattice(1.0, 1.0j, (0.0, 0.5)),),
@@ -803,6 +831,49 @@ def test_inherited_verdict_carries_its_base_unreported():
         assert v.base == decide(base_cfg, spin)
         assert "base" not in v.to_dict()
         assert v == replace(v, base=None)  # equality ignores the base
+
+
+@st.composite
+def _perturbed_chains(draw):
+    # a chain pair (uniformly discrete or not) or one multi-atom chain, with
+    # sites of the first chain removed and generic points added
+    base = draw(
+        st.one_of(
+            _chain_pairs(),
+            st.builds(
+                lambda t1, t2: FluxConfiguration(chains=(chain(1.0, (0.0, t1), (0.5 + 0.25j, t2)),)), _THETA, _THETA
+            ),
+        )
+    )
+    removed = tuple(draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), max_size=3, unique=True)))
+    points = _GENERIC[: draw(st.integers(0 if removed else 1, 3))]
+    added = (AddedSet(points, draw(_THETA)),) if points else ()
+    return replace(base, perturbation=Perturbation(removed, added))
+
+
+_COLLINEAR_REMOVED = FluxConfiguration(
+    chains=(chain(1.0, (0.0, 0.3)), chain(SQRT2, (0.3, 0.4))), perturbation=Perturbation(removed=(0.0,))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=_perturbed_chains(), spin=st.sampled_from("+-"))
+# not uniformly discrete, a site removed: its base verdict is Thm 6.4 or 6.4a
+@example(cfg=_COLLINEAR_REMOVED, spin="+")
+@example(cfg=_COLLINEAR_REMOVED, spin="-")
+def test_perturbed_chains_take_uniform_discreteness_from_the_base_verdict(cfg, spin):
+    # R8 reads the base verdict's theorem where it once asked
+    # uniformly_discrete(base) again: the two must agree
+    try:
+        cfg, _ = normalize_fluxes(cfg)
+        v = decide(cfg, spin)
+    except ConfigError:
+        reject()
+    base_cfg = replace(cfg, perturbation=None)
+    discrete = uniformly_discrete(base_cfg)[0]
+    assert (decide(base_cfg, spin).theorem == "Thm 6.3") == discrete
+    if v.theorem in ("Thm 7.3", "Thm 7.4"):
+        assert discrete
 
 
 def test_integer_shift_invariance():

@@ -46,6 +46,7 @@ from fluxmodes.verify import (
     _site_disc_integrals,
     _site_set,
     _smooth_rise,
+    _tail_candidates,
     annihilation_residual,
     growth_estimate,
     integrate_disc,
@@ -721,6 +722,20 @@ def test_laplacian_residual_matches_per_stencil_reference(family, region, meshes
     _same_or_both_refused(laplacian_residual, _laplacian_reference, phi, region, meshes)
 
 
+@pytest.mark.parametrize(
+    "meshes", [(0.01, 0.01), (0.02, 0.01, 0.02), (0.01, 0.0), (0.01, -0.005), (0.01, math.nan), (math.inf,), ()]
+)
+def test_residuals_refuse_bad_meshes_before_evaluating(meshes):
+    def untouched(z):
+        raise AssertionError("evaluated before the meshes were checked")
+
+    psi = FakePsi(untouched, value=untouched, vector_potential=untouched)
+    psi.uniform_flux_density = 0.0
+    for residual in (annihilation_residual, laplacian_residual):
+        with pytest.raises(DomainError, match="meshes must be (positive and finite|distinct)"):
+            residual(psi, ProbeRegion(0.5 + 2.0j, 0.1, 0.5), meshes)
+
+
 def _finite_cloud():
     # 150 scattered sites: more than the pairwise paths take, with nearest
     # neighbours from about 0.01 to beyond the disc reach
@@ -879,6 +894,48 @@ def test_convergent_error_within_tolerance(make, abs_tol, rel_tol):
     res = l2_norm_squared(make(), abs_tol=abs_tol, rel_tol=rel_tol)
     if res.flag == CONVERGENT:
         assert res.error_estimate <= max(abs_tol, rel_tol * res.value)
+
+
+def test_tail_candidates_two_increments_below_abs_tol():
+    # both increments within abs_tol: the total stands, with the last
+    # increment as its tail error, ahead of the geometric candidate
+    got = list(_tail_candidates(None, [1e-10, 1e-11], [(4.0, 1e-10), (8.0, 1.1e-10)], 1e-8))
+    q = 1e-11 / 1e-10
+    assert got == [(1.1e-10, 1e-11), (1.1e-10, 2.0 * (1e-11 * q / (1.0 - q)))]
+
+
+def _tiny_slow_tail():
+    # |psi|^2 = 1e-14 exp(-r / 20): both first increments lie below abs_tol
+    # and the second is no half of the first, so only the abs_tol candidate
+    # certifies; plane integral 2 pi 1e-14 (400 - 560 exp(-0.4)) within R = 8
+    return FakePsi(lambda z: 0.5 * math.log(1e-14) - np.abs(z) / 40.0, hint=DecayHint("exponential", 1.0 / 40.0))
+
+
+def _tiny_bump():
+    # |psi|^2 = 1e-10 exp(-1 / (1 - r^2)) for r < 1, 0 beyond: compactly
+    # supported, every annulus past the first adds exactly 0
+    def log_abs(z):
+        r2 = np.abs(z) ** 2
+        return np.where(r2 < 1.0, math.log(1e-5) - 0.5 / np.where(r2 < 1.0, 1.0 - r2, 1.0), -np.inf)
+
+    return FakePsi(log_abs)
+
+
+@pytest.mark.parametrize(
+    "make, value, error",
+    [
+        (_tiny_slow_tail, 1.5469688683075355e-12, 1.1065654233123288e-12),
+        (_tiny_bump, 4.662285256428044e-11, 5.879785075752708e-13),
+    ],
+    ids=["slow-tail", "bump"],
+)
+def test_increments_below_abs_tol_certify(make, value, error):
+    res = l2_norm_squared(make())
+    assert res.flag == CONVERGENT
+    assert [R for R, _ in res.radii_trace] == [4.0, 8.0]
+    assert res.value == res.radii_trace[-1][1]
+    assert res.value == pytest.approx(value, rel=1e-12)
+    assert res.error_estimate == pytest.approx(error, rel=1e-9)
 
 
 def test_divergent_power_tail():
@@ -1092,12 +1149,133 @@ def test_loop_flux_boundary_site_rejected():
         loop_flux(field, (0.0, 0.0, 1.0, 1.0))
 
 
+def _loop_flux_reference(a, rectangle):
+    """loop_flux with one a(z) call per 8-node panel, 32 panels a side, each
+    side summed on its own."""
+    x0, y0, x1, y1 = map(float, rectangle)
+    panels = 32
+    x_nodes, w = _gauss_rule(8)
+
+    def side(start, stop, take):
+        acc = 0.0
+        for k in range(panels):
+            za = start + (stop - start) * k / panels
+            zb = start + (stop - start) * (k + 1) / panels
+            mid, half = 0.5 * (za + zb), 0.5 * (zb - za)
+            acc += abs(half) * float(np.dot(w, take(np.asarray(a(mid + half * x_nodes)))))
+        return acc
+
+    total = side(complex(x0, y0), complex(x1, y0), np.real)
+    total += side(complex(x1, y0), complex(x1, y1), np.imag)
+    total -= side(complex(x0, y1), complex(x1, y1), np.real)
+    total -= side(complex(x0, y0), complex(x0, y1), np.imag)
+    return total
+
+
+class _CountedField(FakeField):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return super().__call__(z)
+
+
+_FLUX_CASES = [
+    ([(0.3 + 0.2j, 0.3)], 0.0, (0.0, 0.0, 1.0, 1.0)),
+    ([(0.25 + 0.5j, 0.3), (-0.5 - 0.25j, 0.45)], 0.2, (-1.0, -1.0, 1.0, 1.0)),
+    ([(0.3 + 0.2j, 0.3), (5.0 + 0.0j, 0.9)], 0.0, (0.0, 0.0, 1.0, 1.0)),
+    ([(0.3 + 0.2j, 0.3), (5.0 + 0.0j, 0.9)], 0.0, (-2.0, -3.0, 6.0, 0.5)),
+    ([(1.1 + 1.0j, 0.7), (1.9 + 1.05j, 0.2)], -0.4, (1.0, 0.95, 2.0, 1.1)),
+    ([(-3.0 + 2.0j, 0.5)], 1.3, (-3.5, 1.0, -2.9, 4.0)),
+    ([], 0.7, (10.0, -20.0, 10.5, -19.0)),
+]
+
+
+@pytest.mark.parametrize("sites, xi0, rect", _FLUX_CASES)
+def test_loop_flux_matches_per_panel_reference(sites, xi0, rect):
+    field = _CountedField(sites, xi0)
+    got = loop_flux(field, rect)
+    assert field.calls == 1
+    want = _loop_flux_reference(FakeField(sites, xi0), rect)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_loop_flux_of_built_modes_matches_per_panel_reference():
+    # the rectangle passes no nearer than 0.07 to a site of the three
+    rect = (-1.13, -0.87, 1.21, 0.93)
+    for psi in (_two_site_mode(), _lattice2_mode(), _landau_minus_mode()):
+        a = psi.vector_potential
+        assert loop_flux(a, rect) == pytest.approx(_loop_flux_reference(a, rect), rel=1e-13, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # growth estimation
 
 
+def _growth_estimate_reference(log_f, r_grid):
+    """growth_estimate with one log_f call per circle of 256 points."""
+    r = np.asarray(r_grid, dtype=float)
+    phase = np.exp(2j * math.pi * np.arange(256) / 256)
+    log_m, notice = [], ""
+    for rad in r:
+        with np.errstate(all="ignore"):
+            lm = float(np.max(np.real(np.asarray(log_f(rad * phase)))))
+        if not math.isfinite(lm):
+            notice = f"grid truncated at r={rad:g} (non-finite log values)"
+            break
+        log_m.append(lm)
+    rr, lm = r[: len(log_m)], np.array(log_m)
+    half = len(lm) // 2
+    rs, ls = rr[half:], lm[half:]
+    usable = ls > 0.0
+    if usable.sum() < 3:
+        return verify.GrowthEstimate(0.0, float(np.exp(lm.max())), "low", notice)
+    x, y = np.log(rs[usable]), np.log(ls[usable])
+    xc = x - x.mean()
+    slope = float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
+    resid = float(np.sqrt(np.mean((y - y.mean() - slope * xc) ** 2)))
+    order = max(slope, 0.0)
+    confidence = "high" if resid < 0.1 and usable.sum() >= 4 else "low"
+    return verify.GrowthEstimate(order, float(np.max(ls / rs**order)), confidence, notice)
+
+
+def _exp_overflowing_log(z):
+    """ln|exp z| taken the long way: +inf once exp overflows, past |z| ~ 709."""
+    return np.log(np.abs(np.exp(z)))
+
+
+_GROWTH_CASES = {
+    "square": (lambda z: log_abs_sigma_tilde(LatticeBasis(1.0, 1.0j), z), np.geomspace(4.0, 40.0, 14)),
+    "sqrt2-square": (
+        lambda z: log_abs_sigma_tilde(LatticeBasis(math.sqrt(2.0), math.sqrt(2.0) * 1j), z),
+        np.geomspace(4.0, 40.0, 14),
+    ),
+    "oblique": (lambda z: log_abs_sigma_tilde(LatticeBasis(1.0, 0.3 + 1.2j), z), np.geomspace(5.0, 64.0, 12)),
+    "overflow": (_exp_overflowing_log, np.geomspace(2.0, 2000.0, 24)),
+    "polynomial": (lambda z: 3.0 * np.log(np.abs(z)), np.geomspace(5.0, 80.0, 12)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GROWTH_CASES))
+def test_growth_matches_per_circle_reference(case):
+    log_f, r_grid = _GROWTH_CASES[case]
+    calls = []
+
+    def counted(z):
+        calls.append(z.size)
+        return log_f(z)
+
+    est = growth_estimate(counted, r_grid)
+    assert calls == [256 * len(r_grid)]
+    want = _growth_estimate_reference(log_f, r_grid)
+    assert (est.order, est.type, est.confidence, est.notice) == (want.order, want.type, want.confidence, want.notice)
+    assert _bits([est.order, est.type]) == _bits([want.order, want.type])
+
+
 def test_growth_exponential():
-    est = growth_estimate(np.exp, np.geomspace(2.0, 60.0, 14))
+    est = growth_estimate(lambda z: z.real, np.geomspace(2.0, 60.0, 14))
     assert est.order == pytest.approx(1.0, abs=0.03)
     assert est.type == pytest.approx(1.0, rel=0.05)
     assert est.confidence == "high"
@@ -1105,11 +1283,7 @@ def test_growth_exponential():
 
 def test_growth_sigma_tilde_square():
     square = LatticeBasis(1.0, 1.0j)
-    est = growth_estimate(
-        lambda z: log_abs_sigma_tilde(square, z),
-        np.geomspace(5.0, 40.0, 12),
-        log_scale=True,
-    )
+    est = growth_estimate(lambda z: log_abs_sigma_tilde(square, z), np.geomspace(5.0, 40.0, 12))
     assert est.order == pytest.approx(2.0, abs=0.05)
     assert est.type == pytest.approx(math.pi / 2.0, rel=0.05)
 
@@ -1123,7 +1297,7 @@ def test_growth_gaussian_twist():
         z = np.asarray(z, dtype=complex)
         return np.real(-z**2 + log_sigma(square, z))
 
-    est = growth_estimate(la, np.geomspace(4.0, 32.0, 12), log_scale=True)
+    est = growth_estimate(la, np.geomspace(4.0, 32.0, 12))
     assert est.order == pytest.approx(2.0, abs=0.05)
     assert est.type == pytest.approx(1.0 + math.pi / 2.0, rel=0.05)
 
@@ -1133,23 +1307,30 @@ def test_growth_order_three():
         z = np.asarray(z, dtype=complex)
         return np.real(log_sin(math.pi * z**3)) - 2.0 * np.log(np.abs(z))
 
-    est = growth_estimate(la, np.geomspace(1.5, 14.0, 12), log_scale=True)
+    est = growth_estimate(la, np.geomspace(1.5, 14.0, 12))
     assert est.order == pytest.approx(3.0, abs=0.1)
 
 
 def test_growth_overflow_truncates():
-    est = growth_estimate(np.exp, np.geomspace(2.0, 2000.0, 24))
-    assert est.notice != ""
+    r_grid = np.geomspace(2.0, 2000.0, 24)
+    est = growth_estimate(_exp_overflowing_log, r_grid)
+    first_bad = r_grid[np.argmax(r_grid > 709.8)]
+    assert est.notice == f"grid truncated at r={first_bad:g} (non-finite log values)"
     assert est.order == pytest.approx(1.0, abs=0.05)
 
 
+def test_growth_too_few_finite_radii_refused():
+    with pytest.raises(DomainError, match=r"too few usable radii; grid truncated at r=4 "):
+        growth_estimate(lambda z: np.where(np.abs(z) < 3.5, z.real, np.nan), [1.0, 2.0, 3.0, 4.0, 10.0])
+
+
 def test_growth_polynomial_is_order_zero_ish():
-    est = growth_estimate(lambda z: z**3, np.geomspace(5.0, 80.0, 12))
+    est = growth_estimate(lambda z: 3.0 * np.log(np.abs(z)), np.geomspace(5.0, 80.0, 12))
     assert est.order < 0.5
 
 
 def test_growth_grid_guards():
     with pytest.raises(DomainError):
-        growth_estimate(np.exp, [1.0, 2.0, 3.0])  # too few points
+        growth_estimate(lambda z: z.real, [1.0, 2.0, 3.0])  # too few points
     with pytest.raises(DomainError):
-        growth_estimate(np.exp, np.linspace(10.0, 30.0, 10))  # span < 0.75 decades
+        growth_estimate(lambda z: z.real, np.linspace(10.0, 30.0, 10))  # span < 0.75 decades
